@@ -7,8 +7,9 @@ degradations a capture suffers beyond geometry:
 * **ambient** — stray light mixed into the scene, washing out contrast
   (dominant outdoors);
 * **read_noise_sigma** — additive Gaussian sensor noise;
-* **photons_at_white** — Poisson shot-noise scale (lower = noisier, the
-  dim-screen mechanism of Fig. 10(d));
+* **photons_at_white** — shot-noise scale (lower = noisier, the
+  dim-screen mechanism of Fig. 10(d)); at least 100, where the Gaussian
+  limit of the Poisson count holds;
 * **vignette_strength** — radial falloff, the reason T_v sampling spans
   all four quadrants.
 """
@@ -19,14 +20,15 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ..imaging.noise import (
-    add_ambient_light,
-    add_gaussian_noise,
-    add_shot_noise,
-    vignette,
-)
+from ..imaging.color import float_image
+from ..imaging.noise import add_sensor_noise, falloff_mask
 
-__all__ = ["EnvironmentProfile", "indoor", "outdoor", "dark_room"]
+__all__ = ["EnvironmentProfile", "MIN_PHOTONS_AT_WHITE", "indoor", "outdoor", "dark_room"]
+
+#: Smallest accepted ``photons_at_white``: the shot-noise model is the
+#: Gaussian limit of the Poisson photon count, which needs ~10+ photons
+#: in the darkest pixels that matter.
+MIN_PHOTONS_AT_WHITE = 100.0
 
 
 @dataclass(frozen=True)
@@ -39,13 +41,33 @@ class EnvironmentProfile:
     photons_at_white: float = 4000.0
     vignette_strength: float = 0.10
 
+    def __post_init__(self) -> None:
+        if not self.photons_at_white >= MIN_PHOTONS_AT_WHITE:
+            raise ValueError(
+                f"photons_at_white must be >= {MIN_PHOTONS_AT_WHITE:g}: below that the "
+                "Gaussian shot-noise model no longer approximates Poisson counts"
+            )
+
     def degrade(self, image: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        """Apply the profile's photometric chain to a sensor image."""
-        out = add_ambient_light(image, self.ambient)
-        out = vignette(out, self.vignette_strength)
-        out = add_shot_noise(out, self.photons_at_white, rng)
-        out = add_gaussian_noise(out, self.read_noise_sigma, rng)
-        return out
+        """Apply the profile's photometric chain to a sensor image.
+
+        Ambient mixing and the vignette falloff ``f`` form one affine map,
+        ``signal = image (1 - a) f + a f``; shot and read noise are then
+        one draw of variance ``signal / photons_at_white +
+        read_noise_sigma**2`` and the result is clipped once
+        (:func:`~repro.imaging.noise.add_sensor_noise`).  The image keeps
+        its float dtype.
+        """
+        image = float_image(image)
+        ambient = float(np.clip(self.ambient, 0.0, 1.0))
+        falloff = falloff_mask(*image.shape[:2], self.vignette_strength, image.dtype)
+        gain = falloff * (1.0 - ambient)
+        offset = falloff * ambient
+        if image.ndim == 3:
+            gain, offset = gain[..., np.newaxis], offset[..., np.newaxis]
+        signal = image * gain
+        signal += offset
+        return add_sensor_noise(signal, self.photons_at_white, self.read_noise_sigma, rng)
 
     def with_ambient(self, ambient: float) -> "EnvironmentProfile":
         """Copy with a different ambient level (brightness sweeps)."""

@@ -7,7 +7,12 @@
            -> pinhole projection at (distance, view angle [+ jitter])
            -> lens blur / distortion + motion blur (optics, mobility)
            -> ambient light, vignette, shot & read noise (environment)
+           -> white balance, chroma subsampling, 8-bit quantization
            -> captured sensor images
+
+Everything from the emitted frames through the camera pipeline runs in
+float32; the pipeline's 8-bit quantization hands the decoder a float64
+image at exactly ``k / 255``.
 
 It replaces the physical testbed of the paper: two Galaxy S4 phones on
 a desk mount at distance d and view angle v_a, under an illumination
@@ -75,9 +80,10 @@ class ScreenCameraLink:
     *faults* attaches a :class:`~repro.faults.plan.FaultPlan` to the
     receive chain: shutter jitter inside the rolling-shutter composer,
     pre/post-optics impairments inside the lens model, sensor-stage
-    impairments on the finished capture, and stream-stage drops and
+    impairments on the processed capture, and stream-stage drops and
     duplicates in :meth:`capture_stream`.  (Emission-stage faults live
-    on the :class:`~repro.channel.screen.FrameSchedule`.)
+    on the :class:`~repro.channel.screen.FrameSchedule`; sensor-stage
+    faults run inside the camera pipeline, before quantization.)
     """
 
     def __init__(
@@ -148,9 +154,9 @@ class ScreenCameraLink:
             if blur_len > 0:
                 sensor = motion_blur(sensor, blur_len, blur_angle)
             sensor = cfg.environment.degrade(sensor, self.rng)
-            sensor = cfg.pipeline.apply(sensor, self._wb_gains)
-        if self.faults is not None:
-            sensor = self.faults.apply_image("sensor", sensor, capture_index)
+            sensor = cfg.pipeline.apply(
+                sensor, self._wb_gains, faults=self.faults, capture_index=capture_index
+            )
         return Capture(time=start_time, image=sensor)
 
     def capture_stream(

@@ -15,6 +15,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .. import telemetry
+from ..imaging.color import float_image
 from ..imaging.filters import gaussian_blur
 from ..imaging.interpolation import sample_bilinear
 
@@ -30,10 +31,12 @@ def apply_radial_distortion(image: np.ndarray, k1: float, k2: float = 0.0) -> np
     Positive ``k1`` gives barrel distortion.  Implemented by inverse
     mapping: each output pixel samples the input at its *distorted*
     radius, so the operation matches what a real lens does to the scene.
+    Returns a new array in *image*'s float dtype (a copy when
+    ``k1 == k2 == 0``).
     """
+    image = float_image(image)
     if k1 == 0.0 and k2 == 0.0:
-        return np.asarray(image, dtype=np.float64).copy()
-    image = np.asarray(image, dtype=np.float64)
+        return image.copy()
     height, width = image.shape[:2]
     cx, cy = (width - 1) / 2.0, (height - 1) / 2.0
     norm = np.hypot(cx, cy)
@@ -42,7 +45,8 @@ def apply_radial_distortion(image: np.ndarray, k1: float, k2: float = 0.0) -> np
     rel_x, rel_y = xs - cx, ys - cy
     rn2 = (rel_x**2 + rel_y**2) / norm**2
     factor = 1.0 + k1 * rn2 + k2 * rn2**2
-    return sample_bilinear(image, cx + rel_x * factor, cy + rel_y * factor, fill=0.0)
+    out = sample_bilinear(image, cx + rel_x * factor, cy + rel_y * factor, fill=0.0)
+    return out.astype(image.dtype, copy=False)
 
 
 @dataclass(frozen=True)
@@ -79,7 +83,8 @@ class LensModel:
             if faults is not None:
                 image = faults.apply_image("pre_optics", image, capture_index)
             out = gaussian_blur(image, self.blur_sigma(distance_cm))
-            out = apply_radial_distortion(out, self.k1, self.k2)
+            if self.k1 != 0.0 or self.k2 != 0.0:
+                out = apply_radial_distortion(out, self.k1, self.k2)
             if faults is not None:
                 out = faults.apply_image("post_optics", out, capture_index)
             return out

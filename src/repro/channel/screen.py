@@ -44,12 +44,13 @@ class FrameSchedule:
     display_rate: float
     brightness: float = 1.0
     faults: FaultPlan | None = None
-    #: Brightness-scaled emitted images, keyed by (index, brightness).
-    #: Every capture of a schedule re-reads the same one or two frames,
-    #: so the scale + clip pass runs once per frame instead of once per
-    #: capture.  Keying by brightness keeps the cache valid even if the
-    #: setting is mutated between captures; treat the image arrays
-    #: themselves as immutable once scheduled.
+    #: Brightness-scaled emitted images (float32, the capture chain's
+    #: dtype), keyed by (index, brightness).  Every capture of a schedule
+    #: re-reads the same one or two frames, so the conversion and the
+    #: scale + clip pass run once per frame instead of once per capture.
+    #: Keying by brightness keeps the cache valid even if the setting is
+    #: mutated between captures; treat the image arrays themselves as
+    #: immutable once scheduled.
     _emitted_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -83,7 +84,7 @@ class FrameSchedule:
         return min(max(idx, 0), len(self.images) - 1)
 
     def emitted_image(self, index: int) -> np.ndarray:
-        """Frame *index* as physically emitted (brightness applied).
+        """Frame *index* as physically emitted (brightness applied), in float32.
 
         The returned array is cached and shared between callers — do not
         mutate it.
@@ -95,7 +96,9 @@ class FrameSchedule:
             # Only the cache miss is traced: hits are dictionary lookups
             # and would flood the trace with no-op spans.
             with telemetry.span("channel.emit", frame=index):
-                emitted = scale_brightness(self.images[index], self.brightness)
+                emitted = scale_brightness(
+                    np.asarray(self.images[index], dtype=np.float32), self.brightness
+                )
                 if self.faults is not None:
                     # Emission faults are deterministic per frame index, so
                     # the degraded frame is as cacheable as the clean one.

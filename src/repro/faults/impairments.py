@@ -11,13 +11,16 @@ emission   :meth:`repro.channel.screen.FrameSchedule.emitted_image`
 shutter    :func:`repro.channel.camera.compose_rolling_shutter`
 pre_optics :meth:`repro.channel.optics.LensModel.apply` (before blur)
 post_optics :meth:`repro.channel.optics.LensModel.apply` (after blur)
-sensor     :meth:`repro.channel.link.ScreenCameraLink.capture_at`
+sensor     :meth:`repro.imaging.sensor.CameraPipeline.apply` (before
+           8-bit quantization)
 stream     :meth:`repro.channel.link.ScreenCameraLink.capture_stream`
 ========== ==========================================================
 
-Every image-stage impairment implements ``apply(image, rng, index)`` and
-must treat *image* as read-only (copy before writing).  All randomness
-flows through the *rng* handed in by the plan, which derives it from
+Every image-stage impairment implements ``apply(image, rng, index)``,
+must treat *image* as read-only (copy before writing) and returns an
+image of *image*'s dtype, so a fault never switches the float32 capture
+chain to float64.  All randomness flows through the *rng* handed in by
+the plan, which derives it from
 ``(plan seed, stage, capture index, fault position)`` — so two runs of
 the same plan are bit-identical regardless of call order, process
 boundaries, or how many other faults are active.
@@ -172,7 +175,7 @@ class SpecularGlare(Impairment):
             sigma = max(self.radius_frac * min(height, width) * rng.uniform(0.6, 1.4), 1.0)
             d2 = (xs - cx) ** 2 + (ys - cy) ** 2
             bump += self.strength * np.exp(-d2 / (2.0 * sigma * sigma))
-        bump = np.clip(bump, 0.0, 1.0)
+        bump = np.clip(bump, 0.0, 1.0).astype(image.dtype)
         if image.ndim == 3:
             bump = bump[..., np.newaxis]
         # Blend toward white: x + (1 - x) * bump.
@@ -218,7 +221,7 @@ class ExposureDrift(Impairment):
             )
         if image.ndim == 2:
             return np.clip(image * float(gains.mean()), 0.0, 1.0)
-        return np.clip(image * gains[np.newaxis, np.newaxis, :], 0.0, 1.0)
+        return np.clip(image * gains.astype(image.dtype), 0.0, 1.0)
 
 
 @dataclass(frozen=True)

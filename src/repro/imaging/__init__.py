@@ -24,13 +24,7 @@ from .geometry import (
 )
 from .interpolation import sample_bilinear, sample_nearest
 from .metrics import gradient_energy, laplacian_variance, mean_abs_error, psnr
-from .noise import (
-    add_ambient_light,
-    add_gaussian_noise,
-    add_shot_noise,
-    scale_brightness,
-    vignette,
-)
+from .noise import add_ambient_light, add_sensor_noise, scale_brightness, vignette
 
 __all__ = [
     "rgb_to_hsv",
@@ -56,8 +50,7 @@ __all__ = [
     "laplacian_variance",
     "psnr",
     "mean_abs_error",
-    "add_gaussian_noise",
-    "add_shot_noise",
+    "add_sensor_noise",
     "add_ambient_light",
     "scale_brightness",
     "vignette",

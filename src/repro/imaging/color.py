@@ -23,6 +23,7 @@ __all__ = [
     "hsv_to_rgb",
     "to_float",
     "to_uint8",
+    "float_image",
     "luminance",
 ]
 
@@ -37,6 +38,20 @@ def to_float(image: np.ndarray) -> np.ndarray:
     if image.dtype == np.uint8:
         return image.astype(np.float64) / 255.0
     return np.clip(image.astype(np.float64), 0.0, 1.0)
+
+
+def float_image(image: np.ndarray) -> np.ndarray:
+    """*image* as a float array: float dtypes pass through, others become float64.
+
+    The channel simulator runs its capture chain in float32, so the
+    imaging filters keep their input's float dtype instead of widening it;
+    integer and boolean inputs still compute in float64.  No copy is made
+    for a float input.
+    """
+    image = np.asarray(image)
+    if image.dtype.kind == "f":
+        return image
+    return image.astype(np.float64)
 
 
 def to_uint8(image: np.ndarray) -> np.ndarray:

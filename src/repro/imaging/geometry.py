@@ -17,10 +17,11 @@ used.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional, Tuple
 
 import numpy as np
 
-from .interpolation import bilinear_coeffs, sample_bilinear
+from .color import float_image
 
 __all__ = [
     "estimate_homography",
@@ -100,48 +101,131 @@ def warp_perspective(
 
     *h* maps **source** coordinates to **destination** coordinates; the
     warp inverse-maps each destination pixel and samples bilinearly,
-    which is the standard artifact-free direction.
+    which is the standard artifact-free direction.  Destination pixels
+    whose source point lies outside the image get *fill*.  The output
+    keeps *image*'s float dtype; the source must be at least 2 x 2.
     """
     height, width = output_shape
-    src = np.asarray(image)
+    src = np.ascontiguousarray(float_image(image))
     src_h, src_w = int(src.shape[0]), int(src.shape[1])
+    if src_h < 2 or src_w < 2:
+        raise ValueError("warp_perspective needs a source of at least 2 x 2 pixels")
     h_arr = np.ascontiguousarray(h, dtype=np.float64)
     key = (h_arr.tobytes(), height, width, src_h, src_w)
-    coeffs = _WARP_COORD_CACHE.get(key)
-    if coeffs is None:
-        h_inv = np.linalg.inv(h_arr)
-        pts = _pixel_grid(height, width)
-        mapped = h_inv @ pts
-        mapped_x = (mapped[0] / mapped[2]).reshape(height, width)
-        mapped_y = (mapped[1] / mapped[2]).reshape(height, width)
-        coeffs = bilinear_coeffs(mapped_x, mapped_y, src_h, src_w)
-        if len(_WARP_COORD_CACHE) > 16:
+    coords = _WARP_COORD_CACHE.get(key)
+    if coords is None:
+        coords = _warp_coords(h_arr, height, width, src_h, src_w)
+        if len(_WARP_COORD_CACHE) > 8:
             _WARP_COORD_CACHE.clear()
-        _WARP_COORD_CACHE[key] = coeffs
-    return sample_bilinear(image, None, None, fill=fill, coeffs=coeffs)
+        _WARP_COORD_CACHE[key] = coords
+    (rows, cols), index, fx, fy, outside = coords
+
+    out = np.full((height, width) + src.shape[2:], fill, dtype=src.dtype)
+    if index.size == 0:
+        return out
+    # The four neighbours of source pixel ``index`` are ``index``,
+    # ``index + 1``, ``index + src_w`` and ``index + src_w + 1``: gather
+    # them with one index array from shifted views of the flat image.
+    flat = src.reshape(src_h * src_w, -1)
+    top = flat.take(index, axis=0)
+    step = flat[1:].take(index, axis=0)
+    step -= top
+    step *= fx
+    top += step
+    bottom = flat[src_w:].take(index, axis=0)
+    step = flat[src_w + 1 :].take(index, axis=0)
+    step -= bottom
+    step *= fx
+    bottom += step
+    bottom -= top
+    bottom *= fy
+    top += bottom
+    if outside is not None:
+        np.copyto(top, fill, where=outside)
+    out[rows, cols] = top.reshape(out[rows, cols].shape)
+    return out
 
 
-#: Precomputed bilinear interpolation terms for the inverse-mapped warp
-#: grid, keyed by (homography bytes, output shape, source shape).  A
-#: tripod session reuses one homography for every capture, so the
-#: inverse map, projective divide and neighbour-index arithmetic all run
-#: exactly once per session.
-_WARP_COORD_CACHE: dict[tuple[bytes, int, int, int, int], tuple[np.ndarray, ...]] = {}
+def _warp_window(
+    h: np.ndarray, height: int, width: int, src_h: int, src_w: int
+) -> tuple[slice, slice]:
+    """Destination rows and columns that can sample inside the source.
 
-_GRID_CACHE: dict[tuple[int, int], np.ndarray] = {}
+    When the source rectangle lies wholly in front of the camera (the
+    homogeneous ``w`` of all four corners is positive, hence of the whole
+    rectangle), its image is the convex quadrilateral of the mapped
+    corners, and every destination pixel outside that quadrilateral's
+    bounding box is fill.  Otherwise the window is the whole output.
+    """
+    corners = np.array(
+        [[0.0, 0.0, 1.0], [src_w - 1.0, 0.0, 1.0],
+         [src_w - 1.0, src_h - 1.0, 1.0], [0.0, src_h - 1.0, 1.0]]
+    ) @ h.T
+    w = corners[:, 2]
+    if not np.all(w > 0):
+        return slice(0, height), slice(0, width)
+    xs, ys = corners[:, 0] / w, corners[:, 1] / w
+    x_lo = min(max(int(np.floor(xs.min())) - 1, 0), width)
+    x_hi = max(min(int(np.ceil(xs.max())) + 2, width), x_lo)
+    y_lo = min(max(int(np.floor(ys.min())) - 1, 0), height)
+    y_hi = max(min(int(np.ceil(ys.max())) + 2, height), y_lo)
+    return slice(y_lo, y_hi), slice(x_lo, x_hi)
 
 
-def _pixel_grid(height: int, width: int) -> np.ndarray:
-    """Cached homogeneous pixel-coordinate grid (3, H*W)."""
-    key = (height, width)
-    grid = _GRID_CACHE.get(key)
-    if grid is None:
-        ys, xs = np.mgrid[0:height, 0:width].astype(np.float64)
-        grid = np.stack([xs.ravel(), ys.ravel(), np.ones(xs.size)])
-        if len(_GRID_CACHE) > 8:
-            _GRID_CACHE.clear()
-        _GRID_CACHE[key] = grid
-    return grid
+#: ``((rows, cols), index, fx, fy, outside)`` — see :func:`_warp_coords`.
+_WarpCoords = Tuple[Tuple[slice, slice], np.ndarray, np.ndarray, np.ndarray, Optional[np.ndarray]]
+
+
+def _warp_coords(h: np.ndarray, height: int, width: int, src_h: int, src_w: int) -> _WarpCoords:
+    """Bilinear gather terms of the inverse-mapped destination grid.
+
+    Returns ``((rows, cols), index, fx, fy, outside)``: the destination
+    window (:func:`_warp_window`); for each window pixel, in row-major
+    order, the flat index of its top-left source neighbour and the
+    float32 column and row blend fractions, shaped ``(n, 1)``; and the
+    out-of-bounds mask (``None`` when every window pixel samples inside).
+    The projective map is evaluated in float64 by broadcasting a row of
+    column terms against a column of row terms.  Neighbour indices clamp
+    to ``src - 2`` so the right and bottom neighbours always exist; a
+    point on the last column or row then blends with fraction 1, which
+    reads that edge sample exactly.
+    """
+    rows, cols = _warp_window(h, height, width, src_h, src_w)
+    (a, b, c), (d, e, f), (g, k, m) = np.linalg.inv(h)
+    xs = np.arange(cols.start, cols.stop, dtype=np.float64)
+    ys = np.arange(rows.start, rows.stop, dtype=np.float64)[:, np.newaxis]
+    w = g * xs + (k * ys + m)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        mx = a * xs + (b * ys + c)
+        mx /= w
+        my = d * xs + (e * ys + f)
+        my /= w
+    # Clamp into the source rectangle; a point is inside when clamping
+    # left it unchanged.  fmax/fmin map NaN (degenerate homographies) to
+    # a bound, and NaN never equals its clamp, so it lands outside.
+    cx = np.fmin(np.fmax(mx, 0.0), src_w - 1.0)
+    cy = np.fmin(np.fmax(my, 0.0), src_h - 1.0)
+    inside = cx == mx
+    inside &= cy == my
+    x0 = cx.astype(np.intp)  # truncation is floor: cx >= 0
+    np.minimum(x0, src_w - 2, out=x0)
+    y0 = cy.astype(np.intp)
+    np.minimum(y0, src_h - 2, out=y0)
+    fx = np.empty(cx.shape, dtype=np.float32)
+    np.subtract(cx, x0, out=fx, casting="unsafe")
+    fy = np.empty(cy.shape, dtype=np.float32)
+    np.subtract(cy, y0, out=fy, casting="unsafe")
+    y0 *= src_w
+    y0 += x0
+    outside = None if inside.all() else ~inside.reshape(-1, 1)
+    return (rows, cols), y0.reshape(-1), fx.reshape(-1, 1), fy.reshape(-1, 1), outside
+
+
+#: Bilinear gather terms of the inverse-mapped warp grid, keyed by
+#: (homography bytes, output shape, source shape).  A tripod session
+#: reuses one homography for every capture, so the inverse map,
+#: projective divide and neighbour-index arithmetic run once per session.
+_WARP_COORD_CACHE: dict[tuple[bytes, int, int, int, int], _WarpCoords] = {}
 
 
 def radial_distort_points(

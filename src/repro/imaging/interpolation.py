@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["sample_nearest", "sample_bilinear", "bilinear_coeffs"]
+__all__ = ["sample_nearest", "sample_bilinear"]
 
 
 def _prepare(image: np.ndarray) -> np.ndarray:
@@ -51,18 +51,15 @@ def sample_nearest(
     return out
 
 
-def bilinear_coeffs(
+def _bilinear_coeffs(
     xs: np.ndarray, ys: np.ndarray, height: int, width: int
 ) -> tuple[np.ndarray, ...]:
-    """Precompute the interpolation terms of :func:`sample_bilinear`.
+    """The interpolation terms of :func:`sample_bilinear`.
 
     Returns ``(outside, i00, i01, i10, i11, fx, fy, ifx, ify)``: the
     out-of-bounds mask (``None`` when every sample is in bounds), the
     four flat (row-major) neighbour indices, and the fractional blend
-    weights with their complements.  The terms depend only on the sample
-    coordinates and the source image size, so a caller that repeatedly
-    samples images of one shape at fixed coordinates (e.g. a
-    tripod-session perspective warp) can compute them once.
+    weights with their complements.
     """
     xs = np.asarray(xs, dtype=np.float64)
     ys = np.asarray(ys, dtype=np.float64)
@@ -104,30 +101,25 @@ def bilinear_coeffs(
 
 def sample_bilinear(
     image: np.ndarray,
-    xs: np.ndarray | None,
-    ys: np.ndarray | None,
+    xs: np.ndarray,
+    ys: np.ndarray,
     fill: float = 0.0,
-    coeffs: tuple[np.ndarray, ...] | None = None,
 ) -> np.ndarray:
     """Sample *image* at points ``(xs, ys)`` with bilinear interpolation.
 
     Points outside the image rectangle return *fill*; points in the
     half-open border band are clamped-blended against the edge pixels so a
-    warp that lands exactly on the boundary stays continuous.  *coeffs*
-    may carry a matching :func:`bilinear_coeffs` result to skip the
-    coordinate arithmetic (the caller guarantees it was computed for the
-    same coordinates and source shape).
+    warp that lands exactly on the boundary stays continuous.  Sampling
+    runs in float64 whatever the input dtype.
     """
     img = _prepare(image)
     height, width, channels = img.shape
-    if coeffs is None:
-        coeffs = bilinear_coeffs(xs, ys, height, width)
-    outside, i00, i01, i10, i11, fx, fy, ifx, ify = coeffs
+    outside, i00, i01, i10, i11, fx, fy, ifx, ify = _bilinear_coeffs(xs, ys, height, width)
 
     # Gather the four neighbours through flat `take` on precomputed row
     # offsets: identical values to ``img[y0, x0]`` etc., but measurably
     # faster than 2-D fancy indexing on large coordinate grids (this is
-    # the innermost loop of both the warp and the block sampler).  The
+    # the innermost loop of the block sampler).  The
     # blend then runs in place on the gathered copies: the operation
     # order (and thus every IEEE rounding step) matches the textbook
     # ``p00*(1-fx) + p01*fx`` form exactly, but no further full-size

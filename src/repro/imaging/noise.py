@@ -1,61 +1,62 @@
 """Sensor and environment noise models.
 
 The channel simulator degrades rendered frames with the photometric
-effects the paper's evaluation sweeps: sensor read noise, photon shot
-noise, ambient light (indoor vs outdoor), and illumination/brightness
-scaling.  All generators take an explicit :class:`numpy.random.Generator`
-so experiments are reproducible.
+effects the paper's evaluation sweeps: sensor noise (photon shot noise
+plus read noise), ambient light (indoor vs outdoor), and
+illumination/brightness scaling.  All generators take an explicit
+:class:`numpy.random.Generator` so experiments are reproducible, and
+every function keeps a float input's dtype.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from numpy.typing import DTypeLike
+
+from .color import float_image
 
 __all__ = [
-    "add_gaussian_noise",
-    "add_shot_noise",
+    "add_sensor_noise",
     "add_ambient_light",
     "scale_brightness",
+    "falloff_mask",
     "vignette",
 ]
 
 
-def add_gaussian_noise(
-    image: np.ndarray, sigma: float, rng: np.random.Generator
+def add_sensor_noise(
+    image: np.ndarray,
+    photons_at_white: float,
+    read_sigma: float,
+    rng: np.random.Generator,
 ) -> np.ndarray:
-    """Additive zero-mean Gaussian read noise with std *sigma* (in [0,1] units)."""
-    image = np.asarray(image, dtype=np.float64)
-    if sigma <= 0:
+    """Signal-dependent Gaussian sensor noise, clipped to ``[0, 1]``.
+
+    Shot noise (Poisson with *photons_at_white* photons at full scale,
+    in its Gaussian limit) and additive read noise of std *read_sigma*
+    are independent, so their variances add: a pixel at level ``x``
+    gets one normal draw of variance ``x / photons_at_white +
+    read_sigma**2``.  Lower photon counts (dim screens, short exposures)
+    give relatively noisier images — the mechanism behind the brightness
+    sweep in Fig. 10(d).  ``photons_at_white=np.inf`` leaves only read
+    noise; with ``read_sigma=0`` as well the image is returned unchanged
+    (as a copy) and *rng* is not drawn from.
+    """
+    if not photons_at_white > 0:
+        raise ValueError("photons_at_white must be positive (np.inf disables shot noise)")
+    if read_sigma < 0:
+        raise ValueError("read_sigma cannot be negative")
+    image = float_image(image)
+    if np.isinf(photons_at_white) and read_sigma == 0:
         return image.copy()
-    out = rng.normal(0.0, sigma, size=image.shape)
+    std = np.clip(image, 0.0, 1.0)
+    std *= 1.0 / float(photons_at_white)
+    std += float(read_sigma) ** 2
+    np.sqrt(std, out=std)
+    out = rng.standard_normal(image.shape, dtype=image.dtype)
+    out *= std
     out += image
     return np.clip(out, 0.0, 1.0, out=out)
-
-
-def add_shot_noise(
-    image: np.ndarray, photons_at_white: float, rng: np.random.Generator
-) -> np.ndarray:
-    """Poisson shot noise with *photons_at_white* photons at full scale.
-
-    Lower photon counts (dim screens, short exposures) give relatively
-    noisier images — the mechanism behind the brightness sweep in
-    Fig. 10(d).
-    """
-    image = np.asarray(image, dtype=np.float64)
-    if photons_at_white <= 0:
-        return image.copy()
-    rate = np.clip(image, 0.0, 1.0)
-    rate *= photons_at_white
-    if photons_at_white >= 100:
-        # Gaussian approximation of Poisson (lambda > ~10 everywhere that
-        # matters): same mean/variance, ~4x faster than rng.poisson.
-        photons = rng.standard_normal(image.shape)
-        photons *= np.sqrt(rate)
-        photons += rate
-    else:
-        photons = np.asarray(rng.poisson(rate), dtype=np.float64)
-    photons /= photons_at_white
-    return np.clip(photons, 0.0, 1.0, out=photons)
 
 
 def add_ambient_light(image: np.ndarray, ambient: float) -> np.ndarray:
@@ -64,7 +65,7 @@ def add_ambient_light(image: np.ndarray, ambient: float) -> np.ndarray:
     Outdoor captures wash toward white, compressing contrast — the paper
     notes outdoor error rates are much higher than indoor ones.
     """
-    image = np.asarray(image, dtype=np.float64)
+    image = float_image(image)
     ambient = float(np.clip(ambient, 0.0, 1.0))
     out = image * (1.0 - ambient)
     out += ambient
@@ -73,22 +74,30 @@ def add_ambient_light(image: np.ndarray, ambient: float) -> np.ndarray:
 
 def scale_brightness(image: np.ndarray, factor: float) -> np.ndarray:
     """Scale intensities by *factor* (the screen-brightness setting s_b)."""
-    return np.clip(np.asarray(image, dtype=np.float64) * factor, 0.0, 1.0)
+    out = float_image(image) * factor
+    return np.clip(out, 0.0, 1.0, out=out)
 
 
-#: Radial falloff masks keyed by (height, width, strength); the mask
-#: depends only on geometry, so each capture shape computes it once.
-_FALLOFF_CACHE: dict[tuple[int, int, float], np.ndarray] = {}
+#: Radial falloff masks keyed by (height, width, strength, dtype); the
+#: mask depends only on geometry, so each capture shape computes it once.
+_FALLOFF_CACHE: dict[tuple[int, int, float, str], np.ndarray] = {}
 
 
-def _falloff_mask(height: int, width: int, strength: float) -> np.ndarray:
-    key = (height, width, float(strength))
+def falloff_mask(
+    height: int, width: int, strength: float, dtype: DTypeLike = np.float64
+) -> np.ndarray:
+    """The ``(height, width)`` radial illumination falloff of :func:`vignette`.
+
+    ``1`` at the center, ``1 - strength`` at the corners.  Cached per
+    geometry and dtype; the returned array is shared, do not mutate it.
+    """
+    key = (height, width, float(strength), np.dtype(dtype).str)
     mask = _FALLOFF_CACHE.get(key)
     if mask is None:
         ys, xs = np.mgrid[0:height, 0:width].astype(np.float64)
         cx, cy = (width - 1) / 2.0, (height - 1) / 2.0
         r = np.sqrt(((xs - cx) / max(cx, 1)) ** 2 + ((ys - cy) / max(cy, 1)) ** 2)
-        mask = 1.0 - strength * np.clip(r / np.sqrt(2.0), 0.0, 1.0) ** 2
+        mask = (1.0 - strength * np.clip(r / np.sqrt(2.0), 0.0, 1.0) ** 2).astype(dtype)
         if len(_FALLOFF_CACHE) > 16:
             _FALLOFF_CACHE.clear()
         _FALLOFF_CACHE[key] = mask
@@ -101,9 +110,9 @@ def vignette(image: np.ndarray, strength: float = 0.2) -> np.ndarray:
     Models the non-uniform brightness across a captured screen, which is
     why the paper estimates T_v from samples spread over four quadrants.
     """
-    image = np.asarray(image, dtype=np.float64)
+    image = float_image(image)
     height, width = image.shape[:2]
-    falloff = _falloff_mask(height, width, strength)
+    falloff = falloff_mask(height, width, strength, image.dtype)
     if image.ndim == 3:
         falloff = falloff[..., np.newaxis]
     out = image * falloff

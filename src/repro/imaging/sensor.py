@@ -14,9 +14,15 @@ These operate in YCbCr space (BT.601), reusing the luma weights of
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
 
+from .color import float_image
 from .filters import gaussian_blur
+
+if TYPE_CHECKING:
+    from ..faults.plan import FaultPlan
 
 __all__ = [
     "rgb_to_ycbcr",
@@ -30,28 +36,52 @@ __all__ = [
 _KR, _KG, _KB = 0.299, 0.587, 0.114
 
 
+def _luma(rgb: np.ndarray) -> np.ndarray:
+    return _KR * rgb[..., 0] + _KG * rgb[..., 1] + _KB * rgb[..., 2]
+
+
 def rgb_to_ycbcr(rgb: np.ndarray) -> np.ndarray:
     """BT.601 full-range RGB -> YCbCr (Y in [0,1], Cb/Cr in [-0.5, 0.5])."""
-    rgb = np.asarray(rgb, dtype=np.float64)
-    y = _KR * rgb[..., 0] + _KG * rgb[..., 1] + _KB * rgb[..., 2]
-    out = np.empty(rgb.shape[:-1] + (3,), dtype=np.float64)
+    rgb = float_image(rgb)
+    y = _luma(rgb)
+    out = np.empty(rgb.shape[:-1] + (3,), dtype=rgb.dtype)
     out[..., 0] = y
     out[..., 1] = (rgb[..., 2] - y) / (2.0 * (1.0 - _KB))
     out[..., 2] = (rgb[..., 0] - y) / (2.0 * (1.0 - _KR))
     return out
 
 
+def _to_rgb(y: np.ndarray, cb: np.ndarray, cr: np.ndarray) -> np.ndarray:
+    """Clipped RGB from luma and chroma planes of one shape."""
+    out = np.empty(y.shape + (3,), dtype=y.dtype)
+    r, g, b = out[..., 0], out[..., 1], out[..., 2]
+    np.multiply(cr, 2.0 * (1.0 - _KR), out=r)
+    r += y
+    np.multiply(cb, 2.0 * (1.0 - _KB), out=b)
+    b += y
+    np.multiply(r, -_KR / _KG, out=g)
+    g += y * (1.0 / _KG)
+    g -= b * (_KB / _KG)
+    return np.clip(out, 0.0, 1.0, out=out)
+
+
 def ycbcr_to_rgb(ycc: np.ndarray) -> np.ndarray:
     """Inverse of :func:`rgb_to_ycbcr` (exact up to rounding)."""
-    ycc = np.asarray(ycc, dtype=np.float64)
-    y, cb, cr = ycc[..., 0], ycc[..., 1], ycc[..., 2]
-    r = y + 2.0 * (1.0 - _KR) * cr
-    b = y + 2.0 * (1.0 - _KB) * cb
-    out = np.empty(ycc.shape[:-1] + (3,), dtype=np.float64)
-    out[..., 0] = r
-    out[..., 1] = (y - _KR * r - _KB * b) / _KG
-    out[..., 2] = b
-    return np.clip(out, 0.0, 1.0, out=out)
+    ycc = float_image(ycc)
+    return _to_rgb(ycc[..., 0], ycc[..., 1], ycc[..., 2])
+
+
+def _box_decimate(image: np.ndarray, factor: int) -> np.ndarray:
+    """Mean over each ``factor x factor`` tile (trailing partial tiles dropped)."""
+    height, width = image.shape[:2]
+    h2, w2 = height // factor * factor, width // factor * factor
+    out = image[0:h2:factor, 0:w2:factor].copy()
+    for dy in range(factor):
+        for dx in range(factor):
+            if dy or dx:
+                out += image[dy:h2:factor, dx:w2:factor]
+    out *= 1.0 / (factor * factor)
+    return out
 
 
 def chroma_subsample(image: np.ndarray, factor: int = 2, chroma_blur: float = 0.7) -> np.ndarray:
@@ -60,31 +90,28 @@ def chroma_subsample(image: np.ndarray, factor: int = 2, chroma_blur: float = 0.
     Luma passes through untouched; chroma is low-passed, decimated by
     *factor* and bilinearly restored — the same information loss a
     recorded H.264 stream (or a Bayer demosaic) imposes on block colors.
+
+    Cb and Cr are linear in RGB and the full-resolution chroma planes are
+    only ever box-averaged, so chroma is computed from the box-decimated
+    RGB image (exact up to rounding): luma is the only full-resolution
+    conversion.  The result keeps *image*'s float dtype.
     """
     if factor < 1:
         raise ValueError("factor must be >= 1")
-    image = np.asarray(image, dtype=np.float64)
-    ycc = rgb_to_ycbcr(image)
-    if factor == 1 and chroma_blur <= 0:
-        return ycbcr_to_rgb(ycc)
-    chroma = ycc[..., 1:]
+    image = float_image(image)
+    y = _luma(image)
     if factor > 1:
         # Box-average decimation (the anti-alias filter), then any extra
         # blur on the *small* plane where it is `factor^2` times cheaper.
-        height, width = chroma.shape[:2]
-        h2, w2 = height // factor * factor, width // factor * factor
-        sub = (
-            chroma[:h2, :w2]
-            .reshape(h2 // factor, factor, w2 // factor, factor, 2)
-            .mean(axis=(1, 3))
-        )
+        chroma = rgb_to_ycbcr(_box_decimate(image, factor))[..., 1:]
         if chroma_blur > 0:
-            sub = gaussian_blur(sub, chroma_blur / factor)
-        chroma = _bilinear_upsample(sub, image.shape[:2], factor)
-    elif chroma_blur > 0:
-        chroma = gaussian_blur(chroma, chroma_blur)
-    out = np.concatenate([ycc[..., :1], chroma], axis=-1)
-    return ycbcr_to_rgb(out)
+            chroma = gaussian_blur(chroma, chroma_blur / factor)
+        chroma = _bilinear_upsample(chroma, image.shape[:2], factor)
+    else:
+        chroma = rgb_to_ycbcr(image)[..., 1:]
+        if chroma_blur > 0:
+            chroma = gaussian_blur(chroma, chroma_blur)
+    return _to_rgb(y, chroma[..., 0], chroma[..., 1])
 
 
 #: 1-D upsample coordinates keyed by (full shape, small shape, factor).
@@ -114,7 +141,8 @@ def _bilinear_upsample(small: np.ndarray, shape: tuple[int, int], factor: int) -
 
     The map is separable (x depends only on the column, y only on the
     row), so the interpolation runs on broadcast 1-D coordinate vectors
-    rather than full H x W grids — identical values, far less work.
+    rather than full H x W grids: rows blend first at the small width,
+    then columns, in *small*'s dtype.
     """
     height, width = shape
     sh, sw = small.shape[:2]
@@ -128,44 +156,41 @@ def _bilinear_upsample(small: np.ndarray, shape: tuple[int, int], factor: int) -
             _UPSAMPLE_COORD_CACHE.clear()
         _UPSAMPLE_COORD_CACHE[key] = cached
     y0, y1, fy, x0, x1, fx = cached
+    trailing = (1,) * (small.ndim - 2)
 
-    fx_b = fx[np.newaxis, :, np.newaxis]
-    fy_b = fy[:, np.newaxis, np.newaxis]
-    ifx_b = 1.0 - fx_b
-    ify_b = 1.0 - fy_b
-    rows0 = small.take(y0, axis=0)
-    rows1 = small.take(y1, axis=0)
-    # In-place blend on the gathered copies — same operation order (and
-    # rounding) as ``a*(1-f) + b*f``, without full-size temporaries.
-    top = rows0.take(x0, axis=1)
-    top *= ifx_b
-    tmp = rows0.take(x1, axis=1)
-    tmp *= fx_b
-    top += tmp
-    bottom = rows1.take(x0, axis=1)
-    bottom *= ifx_b
-    tmp = rows1.take(x1, axis=1)
-    tmp *= fx_b
-    bottom += tmp
-    top *= ify_b
-    bottom *= fy_b
-    top += bottom
-    return top
+    rows = small.take(y0, axis=0)
+    step = small.take(y1, axis=0)
+    step -= rows
+    step *= fy.astype(small.dtype).reshape((-1, 1) + trailing)
+    rows += step
+    out = rows.take(x0, axis=1)
+    step = rows.take(x1, axis=1)
+    step -= out
+    step *= fx.astype(small.dtype).reshape((1, -1) + trailing)
+    out += step
+    return out
 
 
 def white_balance_shift(image: np.ndarray, gains: tuple[float, float, float]) -> np.ndarray:
     """Per-channel gain error (auto-white-balance mis-estimation)."""
-    image = np.asarray(image, dtype=np.float64)
-    out = image * np.asarray(gains, dtype=np.float64)
+    image = float_image(image)
+    out = image * np.asarray(gains, dtype=image.dtype)
     return np.clip(out, 0.0, 1.0, out=out)
 
 
 def quantize_8bit(image: np.ndarray) -> np.ndarray:
-    """Round to 8-bit levels — the recorded video's sample depth."""
-    image = np.asarray(image, dtype=np.float64)
-    out = np.clip(image, 0.0, 1.0)
-    out *= 255.0
-    np.round(out, out=out)
+    """Round to 8-bit levels — the recorded video's sample depth.
+
+    Rounds to uint8 levels and returns them as float64 ``level / 255.0``
+    whatever the input dtype: the same values a uint8 frame normalizes
+    to, so the frame round-trips losslessly through uint8 (capture
+    traces).
+    """
+    scaled = float_image(image) * 255.0
+    np.clip(scaled, 0.0, 255.0, out=scaled)
+    levels = np.empty(scaled.shape, dtype=np.uint8)
+    np.rint(scaled, out=levels, casting="unsafe")
+    out = levels.astype(np.float64)
     out /= 255.0
     return out
 
@@ -176,6 +201,7 @@ class CameraPipeline:
     Parameters mirror a mid-2010s phone camera recording video:
     ``chroma_factor=2`` (4:2:0), ``chroma_blur`` around 0.7 px, and a
     white-balance gain error of a few percent re-sampled per session.
+    The output is always quantized to 8-bit levels (float64 ``k / 255``).
     """
 
     def __init__(
@@ -183,12 +209,10 @@ class CameraPipeline:
         chroma_factor: int = 2,
         chroma_blur: float = 0.7,
         wb_error: float = 0.04,
-        quantize: bool = True,
     ):
         self.chroma_factor = chroma_factor
         self.chroma_blur = chroma_blur
         self.wb_error = wb_error
-        self.quantize = quantize
 
     def sample_gains(self, rng: np.random.Generator) -> tuple[float, float, float]:
         """Draw this session's white-balance gain error."""
@@ -197,10 +221,22 @@ class CameraPipeline:
         gains = 1.0 + rng.uniform(-self.wb_error, self.wb_error, size=3)
         return (float(gains[0]), float(gains[1]), float(gains[2]))
 
-    def apply(self, image: np.ndarray, gains: tuple[float, float, float]) -> np.ndarray:
-        """Run the pipeline on one capture."""
+    def apply(
+        self,
+        image: np.ndarray,
+        gains: tuple[float, float, float],
+        faults: "FaultPlan | None" = None,
+        capture_index: int = 0,
+    ) -> np.ndarray:
+        """Run the pipeline on one capture.
+
+        *faults* is the sensor-stage fault hook: its impairments (exposure
+        drift, scanline corruption) run on the processed image just
+        before quantization, so a faulted capture is still a valid
+        8-bit video frame.
+        """
         out = white_balance_shift(image, gains)
         out = chroma_subsample(out, self.chroma_factor, self.chroma_blur)
-        if self.quantize:
-            out = quantize_8bit(out)
-        return out
+        if faults is not None:
+            out = faults.apply_image("sensor", out, capture_index)
+        return quantize_8bit(out)

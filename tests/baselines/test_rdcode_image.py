@@ -6,7 +6,7 @@ import pytest
 from repro.baselines.rdcode import RDCodeLayout
 from repro.baselines.rdcode_image import RDCodeImageCoder
 from repro.core.palette import Color
-from repro.imaging.noise import add_ambient_light, add_gaussian_noise, scale_brightness
+from repro.imaging.noise import add_ambient_light, add_sensor_noise, scale_brightness
 from repro.imaging.sensor import white_balance_shift
 
 
@@ -70,7 +70,7 @@ class TestPaletteDecode:
     def test_noise_tolerance(self, coder, payload):
         rng = np.random.default_rng(1)
         img = coder.render(coder.encode_grid(payload))
-        noisy = add_gaussian_noise(img, 0.05, rng)
+        noisy = add_sensor_noise(img, np.inf, 0.05, rng)
         decoded = coder.decode_image(noisy, len(payload))
         errors = sum(a != b for a, b in zip(decoded, payload))
         assert errors <= len(payload) * 0.02

@@ -10,7 +10,7 @@ from repro.core.header import FrameHeader
 from repro.core.layout import FrameLayout
 from repro.imaging.filters import gaussian_blur
 from repro.imaging.geometry import PinholeSetup, warp_perspective
-from repro.imaging.noise import add_gaussian_noise
+from repro.imaging.noise import add_sensor_noise
 
 
 @pytest.fixture(scope="module")
@@ -79,7 +79,7 @@ class TestGeometricRobustness:
         rng = np.random.default_rng(5)
         captured = project(frame.render(), angle=10)
         captured = gaussian_blur(captured, 1.0)
-        captured = add_gaussian_noise(captured, 0.02, rng)
+        captured = add_sensor_noise(captured, np.inf, 0.02, rng)
         result = FrameDecoder(config).decode_capture(captured)
         assert result.ok
         assert result.payload == payload

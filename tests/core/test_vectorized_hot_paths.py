@@ -43,10 +43,12 @@ def _reference_compose_rolling_shutter(schedule, timing, start_time):
             (end_times[crosses] - switch_time) / timing.exposure_s, 0.0, 1.0
         )
 
-    composite = np.empty(schedule.image_shape, dtype=np.float64)
     rows = np.arange(height)
     needed = np.unique(np.concatenate([idx_start, idx_end]))
     emitted = {int(i): schedule.emitted_image(int(i)) for i in needed}
+    # The composite takes the emitted frames' dtype (float32 since the
+    # capture chain went float32); mixed rows still blend in float64.
+    composite = np.empty(schedule.image_shape, dtype=emitted[int(needed[0])].dtype)
     for i in needed:
         img = emitted[int(i)]
         pure = rows[(idx_start == i) & ~crosses]

@@ -98,3 +98,20 @@ class TestBlur:
     def test_motion_blur_zero_length(self):
         img = np.random.default_rng(3).random((8, 8))
         assert np.array_equal(motion_blur(img, 0.0), img)
+
+    def test_motion_blur_clamps_instead_of_wrapping(self):
+        # A bright last row must not wrap into row 0; it repeats at the edge.
+        img = np.zeros((20, 16))
+        img[-1] = 1.0
+        for angle in (90.0, -90.0):
+            out = motion_blur(img, 4.0, angle_deg=angle)
+            assert np.all(out[0] == 0.0)
+            assert out[-1].min() > 0.0
+
+    def test_filters_keep_float32(self):
+        img = np.random.default_rng(4).random((12, 10, 3)).astype(np.float32)
+        assert gaussian_blur(img, 0.8).dtype == np.float32
+        assert gaussian_blur(img, 0.0).dtype == np.float32
+        assert motion_blur(img, 3.0, angle_deg=30.0).dtype == np.float32
+        assert mean_filter(img, 3).dtype == np.float32
+        assert mean_filter(img.astype(np.float64), 3).dtype == np.float64
