@@ -315,8 +315,7 @@ class CobraDecoder:
     def _detect_corners(
         self, image: np.ndarray, classifier: ColorClassifier
     ) -> dict[str, CornerTracker]:
-        black = classifier.classify_pixels(image) == int(Color.BLACK)
-        labels, count = connected_components(black)
+        labels, count = connected_components(classifier.black_mask(image))
         min_area = max(1, int((0.5 * self.min_block_px) ** 2))
         comps = component_stats(labels, count, min_area=min_area,
                                 max_area=int((2 * self.max_block_px) ** 2))
@@ -378,6 +377,7 @@ class CobraDecoder:
         layout = self.config.layout
         block = float(np.mean([c.block_size for c in corners.values()]))
         centers = {k: np.array(v.center) for k, v in corners.items()}
+        black = classifier.black_mask(image)
 
         out = {}
         for border, (a_key, b_key, outward_pairs) in {
@@ -396,9 +396,7 @@ class CobraDecoder:
             step_along = (b - a) / np.linalg.norm(b - a)
             cells = layout.trb_cells[border]
             count = len(cells)
-            walk = walk_locator_column(
-                image, classifier, start, step_along * 2.0 * block, count, block
-            )
+            walk = walk_locator_column(black, start, step_along * 2.0 * block, count, block)
             out[border] = walk.positions
         return out
 

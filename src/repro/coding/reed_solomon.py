@@ -11,7 +11,10 @@ rolling-shutter boundary.
 Encoding uses the descending-order polynomial helpers from
 :mod:`repro.coding.galois`; the decoder keeps its internal polynomials in
 **ascending** order (index i = coefficient of x^i), the natural form for
-the key equation.
+the key equation.  The decoder is table-driven: syndromes and the Chien
+search evaluate a polynomial at many field points in one vectorized
+log/antilog pass, and Berlekamp-Massey and Forney multiply Python ints
+through list copies of the field tables.
 
 Messages longer than ``k`` are chunked transparently by
 :class:`BlockCode`.
@@ -20,10 +23,11 @@ Messages longer than ``k`` are chunked transparently by
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
-from .galois import gf_inverse, gf_mul, gf_pow, poly_divmod, poly_mul
+from .galois import GF256, poly_divmod, poly_mul
 
 __all__ = [
     "ReedSolomon",
@@ -110,12 +114,48 @@ class RSDecodeStats:
         return sum(1 for cw in self.codewords if not cw.failed and cw.corrected == 0)
 
 
+#: Python-int copies of the field tables.  A list lookup costs a fraction
+#: of a 0-d NumPy ``gf_mul`` call, and the decoder's key-equation loops
+#: multiply scalars one at a time.  ``_EXP`` is doubled, so a sum of two
+#: logs indexes it without a modulo.
+_EXP: list[int] = GF256.exp.tolist()
+_LOG: list[int] = GF256.log.tolist()
+
+
+def _mul(a: int, b: int) -> int:
+    if a == 0 or b == 0:
+        return 0
+    return _EXP[_LOG[a] + _LOG[b]]
+
+
+def _inverse(a: int) -> int:
+    """Multiplicative inverse of a nonzero field element."""
+    return _EXP[255 - _LOG[a]]
+
+
 def _generator_poly(num_parity: int) -> np.ndarray:
     """g(x) = prod_{i=0}^{num_parity-1} (x - alpha^i), descending order."""
     gen = np.array([1], dtype=np.int64)
     for i in range(num_parity):
-        gen = poly_mul(gen, np.array([1, gf_pow(2, i)], dtype=np.int64))
+        gen = poly_mul(gen, np.array([1, _EXP[i]], dtype=np.int64))
     return gen
+
+
+def _eval_at_powers(
+    coeffs: np.ndarray, degrees: np.ndarray, point_logs: np.ndarray
+) -> np.ndarray:
+    """Evaluate sum_i c_i x^(d_i) at every point x = alpha^p, vectorized.
+
+    Each term is ``exp[(log c_i + p * d_i) mod 255]`` and the terms of a
+    point XOR together; zero coefficients contribute nothing and are
+    dropped before the table lookups.
+    """
+    nonzero = coeffs != 0
+    if not nonzero.any():
+        return np.zeros(len(point_logs), dtype=np.int64)
+    logs = GF256.log[coeffs[nonzero]]
+    exponents = (logs + np.multiply.outer(point_logs, degrees[nonzero])) % 255
+    return np.bitwise_xor.reduce(GF256.exp[exponents], axis=1)
 
 
 # --- ascending-order helpers local to the decoder ------------------------
@@ -125,7 +165,7 @@ def _asc_eval(poly: list[int], x: int) -> int:
     """Evaluate an ascending-order polynomial at *x* (Horner from the top)."""
     acc = 0
     for coeff in reversed(poly):
-        acc = gf_mul(acc, x) ^ coeff
+        acc = _mul(acc, x) ^ coeff
     return acc
 
 
@@ -135,12 +175,12 @@ def _asc_mul(p: list[int], q: list[int]) -> list[int]:
         if a:
             for j, b in enumerate(q):
                 if b:
-                    out[i + j] ^= gf_mul(a, b)
+                    out[i + j] ^= _mul(a, b)
     return out
 
 
 def _asc_scale(p: list[int], s: int) -> list[int]:
-    return [gf_mul(c, s) for c in p]
+    return [_mul(c, s) for c in p]
 
 
 def _asc_add(p: list[int], q: list[int]) -> list[int]:
@@ -183,6 +223,11 @@ class ReedSolomon:
         self.k = k
         self.num_parity = n - k
         self._gen = _generator_poly(self.num_parity)
+        # Byte position p has locator X = alpha^(n-1-p): the power of its
+        # term in C(x), and the log of its inverse for the Chien search.
+        self._degrees = np.arange(n - 1, -1, -1, dtype=np.int64)
+        self._inverse_logs = (255 - self._degrees) % 255
+        self._syndrome_logs = np.arange(self.num_parity, dtype=np.int64)
 
     @property
     def max_errors(self) -> int:
@@ -205,14 +250,7 @@ class ReedSolomon:
 
     def _syndromes(self, word: np.ndarray) -> list[int]:
         """S_j = C(alpha^j) for j = 0..n-k-1 (all zero iff valid codeword)."""
-        out = []
-        for j in range(self.num_parity):
-            x = gf_pow(2, j)
-            acc = 0
-            for byte in word:
-                acc = gf_mul(acc, x) ^ int(byte)
-            out.append(acc)
-        return out
+        return _eval_at_powers(word, self._degrees, self._syndrome_logs).tolist()
 
     def check(self, received: bytes | bytearray | np.ndarray) -> bool:
         """True when *received* is a valid codeword (all syndromes zero)."""
@@ -267,8 +305,7 @@ class ReedSolomon:
             # Erasure locator Gamma(x) = prod (1 - X_e x), ascending order.
             gamma = [1]
             for pos in erasures:
-                x_e = gf_pow(2, self.n - 1 - pos)
-                gamma = _asc_mul(gamma, [1, x_e])
+                gamma = _asc_mul(gamma, [1, _EXP[self.n - 1 - pos]])
 
             locator = self._berlekamp_massey(syndromes, gamma, len(erasures))
             positions = self._chien_search(locator)
@@ -315,13 +352,13 @@ class ReedSolomon:
             for i, coeff in enumerate(locator):
                 if k - i < 0:
                     break
-                delta ^= gf_mul(coeff, syndromes[k - i])
+                delta ^= _mul(coeff, syndromes[k - i])
             prev = [0] + prev  # prev *= x
             if delta != 0:
                 if len(prev) > len(locator):
                     # Degree grows: keep a rescaled copy of the old locator
                     # as the new auxiliary polynomial (Massey's B update).
-                    new_prev = _asc_scale(locator, gf_inverse(delta))
+                    new_prev = _asc_scale(locator, _inverse(delta))
                     locator = _asc_add(locator, _asc_scale(prev, delta))
                     prev = new_prev
                 else:
@@ -333,11 +370,12 @@ class ReedSolomon:
         degree = len(_asc_trim(locator)) - 1
         if degree == 0:
             return None
-        positions = []
-        for pos in range(self.n):
-            x_inv = gf_pow(2, (255 - (self.n - 1 - pos)) % 255)
-            if _asc_eval(locator, x_inv) == 0:
-                positions.append(pos)
+        values = _eval_at_powers(
+            np.asarray(locator, dtype=np.int64),
+            np.arange(len(locator), dtype=np.int64),
+            self._inverse_logs,
+        )
+        positions = np.flatnonzero(values == 0).tolist()
         if len(positions) != degree:
             return None
         return positions
@@ -360,14 +398,20 @@ class ReedSolomon:
 
         corrected = word.copy()
         for pos in positions:
-            x = gf_pow(2, self.n - 1 - pos)
-            x_inv = gf_inverse(x)
+            x = _EXP[self.n - 1 - pos]
+            x_inv = _inverse(x)
             denom = _asc_eval(deriv, x_inv)
             if denom == 0:
                 raise RSDecodeError("Forney denominator zero")
-            numer = gf_mul(x, _asc_eval(omega, x_inv))
-            corrected[pos] ^= gf_mul(numer, gf_inverse(denom))
+            numer = _mul(x, _asc_eval(omega, x_inv))
+            corrected[pos] ^= _mul(numer, _inverse(denom))
         return corrected
+
+
+@lru_cache(maxsize=64)
+def _code(n: int, k: int) -> ReedSolomon:
+    """The shared RS(n, k) instance: the generator polynomial is built once."""
+    return ReedSolomon(n, k)
 
 
 @dataclass(frozen=True)
@@ -394,7 +438,7 @@ class BlockCode:
 
     def encode(self, payload: bytes) -> bytes:
         """Encode *payload* into a sequence of RS codewords."""
-        rs = ReedSolomon(self.n, self.k)
+        rs = _code(self.n, self.k)
         chunks = max(1, -(-len(payload) // self.k))
         padded = payload.ljust(chunks * self.k, b"\x00")
         return b"".join(
@@ -417,7 +461,7 @@ class BlockCode:
         """
         if len(coded) % self.n:
             raise ValueError("coded length is not a multiple of n")
-        rs = ReedSolomon(self.n, self.k)
+        rs = _code(self.n, self.k)
         per_chunk: dict[int, list[int]] = {}
         for idx in erasures or []:
             per_chunk.setdefault(idx // self.n, []).append(idx % self.n)
@@ -445,7 +489,7 @@ class BlockCode:
         """
         if len(coded) % self.n:
             raise ValueError("coded length is not a multiple of n")
-        rs = ReedSolomon(self.n, self.k)
+        rs = _code(self.n, self.k)
         per_chunk: dict[int, list[int]] = {}
         for idx in erasures or []:
             per_chunk.setdefault(idx // self.n, []).append(idx % self.n)

@@ -7,13 +7,13 @@ bottom corners come for free once the locator columns are walked down
 COBRA per omitted tracker.
 
 Detection strategy (the fast-scan of COBRA Section 4.5, recast on a
-component labeling): classify the capture's dark pixels with the
-estimated T_v, label connected black components, keep square-ish solid
-blobs of plausible block size, and test the color purity of a sample
-ring at ~1.1 block radius around each candidate's centroid.  The green
-and red candidates with the purest rings are the CTs; the candidate
-geometry also yields the first estimate of the captured block size
-(the paper's BST).
+component labeling): label connected components of the capture's black
+mask (dark pixels under the estimated T_v), keep square-ish solid blobs
+of plausible block size, and test the color purity of a sample ring at
+~1.1 block radius around each candidate's centroid.  The rings of all
+candidates are classified in one batch.  The green and red candidates
+with the purest rings are the CTs; the candidate geometry also yields
+the first estimate of the captured block size (the paper's BST).
 """
 
 from __future__ import annotations
@@ -85,11 +85,13 @@ class CornerDetection:
 def detect_corner_trackers(
     image: np.ndarray,
     classifier: ColorClassifier,
+    black: np.ndarray,
     min_block_px: float = 3.0,
     max_block_px: float = 40.0,
 ) -> CornerDetection:
     """Find the two corner trackers of a captured frame.
 
+    *black* is the capture's black mask, ``classifier.black_mask(image)``.
     ``min_block_px``/``max_block_px`` bound the plausible captured block
     size (the paper's B_min/B_max, scaled by the capture geometry) and
     filter the black-component candidates.
@@ -97,40 +99,47 @@ def detect_corner_trackers(
     Raises :exc:`CornerDetectionError` when either tracker is missing —
     the caller counts the capture as undecodable.
     """
-    image = np.asarray(image, dtype=np.float64)
-    black_mask = classifier.black_mask(image)
-    labels, count = connected_components(black_mask)
+    labels, count = connected_components(black)
     min_area = max(1, int((0.5 * min_block_px) ** 2))
     max_area = int((2.0 * max_block_px) ** 2)
-    candidates = component_stats(labels, count, min_area=min_area, max_area=max_area)
+    candidates = [
+        comp
+        for comp in component_stats(labels, count, min_area=min_area, max_area=max_area)
+        if min_block_px <= 0.5 * (comp.width + comp.height) <= max_block_px
+        and comp.aspect <= _MAX_ASPECT
+        and comp.fill_ratio >= _MIN_FILL
+    ]
 
     best: dict[Color, CornerTracker] = {}
-    angles = np.linspace(0.0, 2.0 * np.pi, _RING_SAMPLES, endpoint=False)
-    for comp in candidates:
-        side = 0.5 * (comp.width + comp.height)
-        if not min_block_px <= side <= max_block_px:
-            continue
-        if comp.aspect > _MAX_ASPECT or comp.fill_ratio < _MIN_FILL:
-            continue
-        cx, cy = comp.centroid
-        # Elliptical ring: foreshortening squeezes the tracker along one
-        # axis, so each axis uses its own measured extent.
-        radius_x = 1.1 * comp.width
-        radius_y = 1.1 * comp.height
-        ring = np.column_stack(
-            [cx + radius_x * np.cos(angles), cy + radius_y * np.sin(angles)]
+    if candidates:
+        centroids = np.array([comp.centroid for comp in candidates])
+        extents = np.array([(comp.width, comp.height) for comp in candidates])
+        angles = np.linspace(0.0, 2.0 * np.pi, _RING_SAMPLES, endpoint=False)
+        # Elliptical rings: foreshortening squeezes the tracker along one
+        # axis, so each axis uses its own measured extent.  One ring of
+        # _RING_SAMPLES points per candidate, all classified in one call.
+        radii = 1.1 * extents
+        rings = np.stack(
+            [
+                centroids[:, 0:1] + radii[:, 0:1] * np.cos(angles),
+                centroids[:, 1:2] + radii[:, 1:2] * np.sin(angles),
+            ],
+            axis=-1,
         )
-        ring_colors = classifier.classify_centers(image, ring)
+        ring_colors = classifier.classify_centers(image, rings)
         for color in (Color.GREEN, Color.RED):
-            purity = float(np.mean(ring_colors == int(color)))
-            if purity < _RING_PURITY:
+            purity = np.mean(ring_colors == int(color), axis=1)
+            # The first candidate with the highest qualifying purity wins.
+            index = int(np.argmax(purity))
+            if purity[index] < _RING_PURITY:
                 continue
-            tracker = CornerTracker(
-                center=(cx, cy), block_size=side, ring_color=color, purity=purity
+            comp = candidates[index]
+            best[color] = CornerTracker(
+                center=comp.centroid,
+                block_size=0.5 * (comp.width + comp.height),
+                ring_color=color,
+                purity=float(purity[index]),
             )
-            incumbent = best.get(color)
-            if incumbent is None or purity > incumbent.purity:
-                best[color] = tracker
 
     if Color.GREEN not in best or Color.RED not in best:
         missing = [c.name for c in (Color.GREEN, Color.RED) if c not in best]

@@ -136,20 +136,33 @@ class ColorClassifier:
     mode: str = "hsv"
 
     def classify_centers(self, image: np.ndarray, centers: np.ndarray) -> np.ndarray:
-        """Color index of the block at each ``(x, y)`` center."""
-        rgb = sample_block_colors(image, centers, self.mean_filter_radius)
+        """Color index of the block at each ``(x, y)`` center.
+
+        *centers* is ``(N, 2)``, or ``(G, N, 2)`` for a batch of ``G``
+        point groups (e.g. the sample rings of several corner
+        candidates); the result has the leading shape.  Classification
+        is per point, so a batch classifies exactly as one call per
+        group would.
+        """
+        centers = np.atleast_2d(np.asarray(centers, dtype=np.float64))
+        rgb = sample_block_colors(image, centers.reshape(-1, 2), self.mean_filter_radius)
         registry = telemetry.registry()
         if registry and self.mode == "hsv":
             # Per-block confidence: how far each classified center sat
             # from the nearest HSV decision boundary.  Only computed
             # when a metrics registry is live — the disabled path pays
-            # nothing beyond this falsy check.
+            # nothing beyond this falsy check.  Margins are recorded one
+            # group at a time, so the histogram's float sum also matches
+            # one call per group.
             hsv = rgb_to_hsv(rgb)
-            registry.histogram("classify.margin", MARGIN_BUCKETS).observe_many(
-                classification_margins(hsv, self.t_value, self.t_sat)
-            )
-            return classify_hsv(hsv, self.t_value, self.t_sat)
-        return self.classify_pixels_denoised(rgb)
+            margins = classification_margins(hsv, self.t_value, self.t_sat)
+            histogram = registry.histogram("classify.margin", MARGIN_BUCKETS)
+            for group in np.atleast_2d(margins.reshape(centers.shape[:-1])):
+                histogram.observe_many(group)
+            colors = classify_hsv(hsv, self.t_value, self.t_sat)
+        else:
+            colors = self.classify_pixels_denoised(rgb)
+        return colors.reshape(centers.shape[:-1])
 
     def black_mask(self, image: np.ndarray) -> np.ndarray:
         """Boolean mask of pixels that classify as black.

@@ -2,8 +2,10 @@
 
 Corner-tracker detection labels the black-pixel mask of a capture and
 inspects each component.  Labeling uses :func:`scipy.ndimage.label`
-(8-connectivity); statistics are computed vectorized with
-``np.bincount`` so a full-capture mask costs a few milliseconds.
+(8-connectivity); statistics are computed vectorized, with one
+``np.bincount`` over the whole label image and grouped reductions over
+the pixels of the components that pass the area filter, so a
+full-capture mask costs a few milliseconds.
 """
 
 from __future__ import annotations
@@ -48,22 +50,6 @@ class ComponentStats:
         return long_side / short_side
 
 
-_COORD_CACHE: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
-
-
-def _flat_coords(shape: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
-    """Flat per-pixel (x, y) coordinate weights for *shape*, cached."""
-    cached = _COORD_CACHE.get(shape)
-    if cached is None:
-        height, width = shape
-        xs = np.tile(np.arange(width, dtype=np.float64), height)
-        ys = np.repeat(np.arange(height, dtype=np.float64), width)
-        if len(_COORD_CACHE) > 8:
-            _COORD_CACHE.clear()
-        cached = _COORD_CACHE[shape] = (xs, ys)
-    return cached
-
-
 def connected_components(mask: np.ndarray) -> tuple[np.ndarray, int]:
     """8-connected labeling of a boolean mask: ``(labels, count)``.
 
@@ -81,42 +67,49 @@ def component_stats(
 ) -> list[ComponentStats]:
     """Per-component area, centroid and bounding box, area-filtered.
 
-    Vectorized: one ``bincount`` for areas and coordinate sums, one pass
-    of grouped min/max for the boxes.
+    Areas take one ``bincount`` over the whole label image.  Boxes and
+    centroids are computed only for the components that pass the area
+    filter, from their own pixels: grouped min/max for the boxes and
+    integer coordinate sums over integer areas for the centroids, so
+    both are exact.
     """
     if count == 0:
         return []
     flat = labels.ravel()
     areas = np.bincount(flat, minlength=count + 1)
+    keep = areas >= max(min_area, 1)
+    if max_area is not None:
+        keep &= areas <= max_area
+    keep[0] = False
+    passing = np.flatnonzero(keep)
+    if passing.size == 0:
+        return []
 
-    # Bounding boxes from ndimage's C pass; centroids from weighted
-    # bincounts over the flat label image (row/column index arrays are
-    # implicit in the flat offset, so no nonzero() scatter is needed).
-    boxes = ndimage.find_objects(labels, max_label=count)
-    xs_flat, ys_flat = _flat_coords(labels.shape)
-    sum_x = np.bincount(flat, weights=xs_flat, minlength=count + 1)
-    sum_y = np.bincount(flat, weights=ys_flat, minlength=count + 1)
-
-    out = []
-    for label in range(1, count + 1):
-        area = int(areas[label])
-        if area < min_area or (max_area is not None and area > max_area):
-            continue
-        box = boxes[label - 1]
-        if box is None:
-            continue
-        row_slice, col_slice = box
-        out.append(
-            ComponentStats(
-                label=label,
-                area=area,
-                centroid=(float(sum_x[label] / area), float(sum_y[label] / area)),
-                bbox=(
-                    int(col_slice.start),
-                    int(row_slice.start),
-                    int(col_slice.stop - 1),
-                    int(row_slice.stop - 1),
-                ),
-            )
+    height, width = labels.shape
+    pixels = np.flatnonzero(keep[flat])
+    owner = flat[pixels]
+    ys, xs = np.divmod(pixels, width)
+    areas = areas[passing]
+    sum_x = np.bincount(owner, weights=xs, minlength=count + 1)[passing]
+    sum_y = np.bincount(owner, weights=ys, minlength=count + 1)[passing]
+    x0 = np.full(count + 1, width, dtype=np.intp)
+    y0 = np.full(count + 1, height, dtype=np.intp)
+    x1 = np.full(count + 1, -1, dtype=np.intp)
+    y1 = np.full(count + 1, -1, dtype=np.intp)
+    np.minimum.at(x0, owner, xs)
+    np.minimum.at(y0, owner, ys)
+    np.maximum.at(x1, owner, xs)
+    np.maximum.at(y1, owner, ys)
+    return [
+        ComponentStats(label=label, area=area, centroid=(cx, cy), bbox=(bx0, by0, bx1, by1))
+        for label, area, cx, cy, bx0, by0, bx1, by1 in zip(
+            passing.tolist(),
+            areas.tolist(),
+            (sum_x / areas).tolist(),
+            (sum_y / areas).tolist(),
+            x0[passing].tolist(),
+            y0[passing].tolist(),
+            x1[passing].tolist(),
+            y1[passing].tolist(),
         )
-    return out
+    ]

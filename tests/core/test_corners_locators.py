@@ -33,13 +33,18 @@ def classifier():
     return ColorClassifier(t_value=0.4)
 
 
+@pytest.fixture(scope="module")
+def black(frame_image, classifier):
+    return classifier.black_mask(frame_image)
+
+
 def truth_point(layout, setup, row, col):
     return apply_homography(setup.homography(), np.array(layout.cell_center_px(row, col)))
 
 
 class TestCornerDetection:
-    def test_pristine_frame(self, config, frame_image, classifier):
-        det = detect_corner_trackers(frame_image, classifier)
+    def test_pristine_frame(self, config, frame_image, classifier, black):
+        det = detect_corner_trackers(frame_image, classifier, black)
         layout = config.layout
         expect_left = layout.cell_center_px(2, layout.left_locator_col)
         expect_right = layout.cell_center_px(2, layout.right_locator_col)
@@ -56,7 +61,7 @@ class TestCornerDetection:
         cap = warp_perspective(frame_image, setup.homography(), (480, 800), fill=0.1)
         est = estimate_black_threshold(cap)
         clf = ColorClassifier(t_value=est.t_value)
-        det = detect_corner_trackers(cap, clf)
+        det = detect_corner_trackers(cap, clf, clf.black_mask(cap))
         layout = config.layout
         assert np.allclose(
             det.left.center, truth_point(layout, setup, 2, 2), atol=1.5
@@ -68,67 +73,65 @@ class TestCornerDetection:
     def test_missing_trackers_raise(self, classifier):
         blank = np.ones((100, 200, 3)) * 0.5
         with pytest.raises(CornerDetectionError):
-            detect_corner_trackers(blank, classifier)
+            detect_corner_trackers(blank, classifier, classifier.black_mask(blank))
 
-    def test_row_step_points_down(self, frame_image, classifier):
-        det = detect_corner_trackers(frame_image, classifier)
+    def test_row_step_points_down(self, frame_image, classifier, black):
+        det = detect_corner_trackers(frame_image, classifier, black)
         step = det.row_step()
         assert step[1] > 0  # downward in image coordinates
         assert abs(step[0]) < abs(step[1])
 
-    def test_column_step_spacing(self, config, frame_image, classifier):
-        det = detect_corner_trackers(frame_image, classifier)
+    def test_column_step_spacing(self, config, frame_image, classifier, black):
+        det = detect_corner_trackers(frame_image, classifier, black)
         cols_between = config.layout.right_locator_col - config.layout.left_locator_col
         step = det.column_step(cols_between)
         assert step[0] == pytest.approx(12, abs=0.5)
 
 
 class TestLocationCorrection:
-    def test_converges_to_block_center(self, frame_image, classifier, config):
+    def test_converges_to_block_center(self, black, config):
         layout = config.layout
         true = np.array(layout.cell_center_px(4, layout.left_locator_col))
         # Start up to 5 px off in both axes.
         for offset in [(3, -4), (-5, 2), (0, 5)]:
-            corrected = correct_location(frame_image, classifier, true + offset, 12.0)
+            corrected = correct_location(black, true + offset, 12.0)
             assert corrected is not None
             assert np.allclose(corrected, true, atol=0.8)
 
-    def test_returns_none_on_non_black_region(self, frame_image, classifier, config):
+    def test_returns_none_on_non_black_region(self, black, config):
         layout = config.layout
         data_cell = np.array(layout.cell_center_px(7, 10))
-        assert correct_location(frame_image, classifier, data_cell, 12.0) is None
+        assert correct_location(black, data_cell, 12.0) is None
 
-    def test_none_off_image(self, frame_image, classifier):
-        assert correct_location(frame_image, classifier, np.array([-50.0, -50.0]), 12.0) is None
+    def test_none_off_image(self, black):
+        assert correct_location(black, np.array([-50.0, -50.0]), 12.0) is None
 
     def test_survives_blur(self, frame_image, classifier, config):
         layout = config.layout
         blurred = gaussian_blur(frame_image, 1.5)
         true = np.array(layout.cell_center_px(4, layout.left_locator_col))
-        corrected = correct_location(blurred, classifier, true + [2, 2], 12.0)
+        corrected = correct_location(classifier.black_mask(blurred), true + [2, 2], 12.0)
         assert corrected is not None
         assert np.allclose(corrected, true, atol=1.5)
 
 
 class TestColumnWalk:
-    def test_walks_whole_column(self, frame_image, classifier, config):
+    def test_walks_whole_column(self, black, config):
         layout = config.layout
         count = len(list(layout.locator_rows))
         start = np.array(layout.cell_center_px(2, layout.left_locator_col))
-        column = walk_locator_column(
-            frame_image, classifier, start, np.array([0.0, 24.0]), count, 12.0
-        )
+        column = walk_locator_column(black, start, np.array([0.0, 24.0]), count, 12.0)
         assert column.refinement_rate == 1.0
         for i, row in enumerate(layout.locator_rows):
             true = layout.cell_center_px(row, layout.left_locator_col)
             assert np.allclose(column.positions[i], true, atol=0.8), f"row {row}"
 
-    def test_rows_metadata(self, frame_image, classifier, config):
+    def test_rows_metadata(self, black, config):
         layout = config.layout
         count = len(list(layout.locator_rows))
         start = np.array(layout.cell_center_px(2, layout.left_locator_col))
         column = walk_locator_column(
-            frame_image, classifier, start, np.array([0.0, 24.0]), count, 12.0, start_row=2
+            black, start, np.array([0.0, 24.0]), count, 12.0, start_row=2
         )
         assert column.rows.tolist() == list(layout.locator_rows)
         assert np.allclose(column.bottom, column.positions[-1])
@@ -141,24 +144,26 @@ class TestColumnWalk:
         img[int(y) - 8 : int(y) + 9, int(x) - 8 : int(x) + 9] = [1.0, 1.0, 1.0]
         count = len(list(layout.locator_rows))
         start = np.array(layout.cell_center_px(2, layout.left_locator_col))
-        column = walk_locator_column(img, classifier, start, np.array([0.0, 24.0]), count, 12.0)
+        column = walk_locator_column(
+            classifier.black_mask(img), start, np.array([0.0, 24.0]), count, 12.0
+        )
         assert not column.refined[2]  # row 6 is the third locator
         assert column.refined[3]  # the next one is found again
         true_last = layout.cell_center_px(layout.last_locator_row, layout.left_locator_col)
         assert np.allclose(column.positions[-1], true_last, atol=1.0)
 
-    def test_count_validation(self, frame_image, classifier):
+    def test_count_validation(self, black):
         with pytest.raises(ValueError):
-            walk_locator_column(frame_image, classifier, np.zeros(2), np.zeros(2), 0, 12.0)
+            walk_locator_column(black, np.zeros(2), np.zeros(2), 0, 12.0)
 
 
 class TestMiddleLocator:
-    def test_found_at_midpoint(self, frame_image, classifier, config):
+    def test_found_at_midpoint(self, black, config):
         layout = config.layout
         left = np.array(layout.cell_center_px(2, layout.left_locator_col))
         right = np.array(layout.cell_center_px(2, layout.right_locator_col))
         found = find_first_middle_locator(
-            frame_image, classifier, 0.5 * (left + right), 12.0, 3.0, 40.0
+            black, 0.5 * (left + right), 12.0, 3.0, 40.0
         )
         true = layout.cell_center_px(2, layout.middle_locator_col)
         assert np.allclose(found, true, atol=1.0)
@@ -167,7 +172,7 @@ class TestMiddleLocator:
         blank = np.ones((200, 300, 3))
         with pytest.raises(LocatorError):
             find_first_middle_locator(
-                blank, classifier, np.array([150.0, 100.0]), 12.0, 3.0, 40.0
+                classifier.black_mask(blank), np.array([150.0, 100.0]), 12.0, 3.0, 40.0
             )
 
     def test_rejects_noise_points(self, classifier, config):
@@ -179,7 +184,7 @@ class TestMiddleLocator:
         x, y = 162.0, 104.0
         img[int(y) - 6 : int(y) + 7, int(x) - 6 : int(x) + 7] = 0.0  # real block
         found = find_first_middle_locator(
-            img, classifier, np.array([150.0, 100.0]), 12.0, 5.0, 40.0
+            classifier.black_mask(img), np.array([150.0, 100.0]), 12.0, 5.0, 40.0
         )
         assert np.allclose(found, [x, y], atol=1.0)
 
@@ -187,5 +192,5 @@ class TestMiddleLocator:
         img = np.ones((50, 50, 3))
         with pytest.raises(LocatorError):
             find_first_middle_locator(
-                img, classifier, np.array([500.0, 500.0]), 12.0, 3.0, 40.0
+                classifier.black_mask(img), np.array([500.0, 500.0]), 12.0, 3.0, 40.0
             )
