@@ -8,6 +8,7 @@ Writes ``BENCH_decode.json`` (perf-ledger schema v1: ``schema_version``,
 * per-stage wall/self-time p50/p95/p99 over traced repeat decodes
   (:class:`repro.telemetry.perf.StageAggregate`),
 * end-to-end single-worker trial time (render -> capture -> decode),
+  with the mean per-capture wall time of each channel span,
 * a seed-sweep wall-clock comparison at 1 vs 4 workers, including a
   check that the pooled counters are bit-identical, and
 * ``decode_stream`` timing at 1 vs 4 workers.
@@ -145,16 +146,30 @@ def stage_breakdown(repeats: int = 3) -> tuple[dict, dict]:
 
 
 def single_worker_trial(num_frames: int, repeats: int) -> dict:
-    """End-to-end trial time: render -> capture -> decode, serial."""
+    """End-to-end trial time: render -> capture -> decode, serial.
+
+    ``channel_stage_ms`` is informational (no budget gates it): the mean
+    wall milliseconds per capture of each ``channel.*`` span, from one
+    more traced run of the same trial.
+    """
     config = rainbar_config(display_rate=10)
     link = paper_link_config(view_angle_deg=15.0)
     kwargs = dict(codec=config, link_config=link, num_frames=num_frames, seed=2)
     run_rainbar_trial(**kwargs)  # warm
     best = _best_of(repeats, lambda: run_rainbar_trial(**kwargs))
+    tracer = telemetry.Tracer("perf_snapshot")
+    with telemetry.scoped(tracer=tracer):
+        run_rainbar_trial(**kwargs)
+    captures = max(len(tracer.find("channel.capture")), 1)
     return {
         "num_frames": num_frames,
         "trial_ms": round(best * 1000, 1),
         "per_frame_ms": round(best * 1000 / num_frames, 1),
+        "channel_stage_ms": {
+            name: round(seconds * 1000 / captures, 2)
+            for name, seconds in sorted(tracer.stage_totals().items())
+            if name.startswith("channel.")
+        },
     }
 
 

@@ -56,22 +56,32 @@ class EnvironmentProfile:
         one draw of variance ``signal / photons_at_white +
         read_noise_sigma**2`` and the result is clipped once
         (:func:`~repro.imaging.noise.add_sensor_noise`).  The image keeps
-        its float dtype.
+        its float dtype.  The affine map runs one channel at a time, so
+        every multiply and add runs along whole pixel rows against the
+        ``(H, W)`` gain and offset instead of broadcasting them over the
+        three channels of each pixel.
         """
         image = float_image(image)
         ambient = float(np.clip(self.ambient, 0.0, 1.0))
         falloff = falloff_mask(*image.shape[:2], self.vignette_strength, image.dtype)
         gain = falloff * (1.0 - ambient)
         offset = falloff * ambient
-        if image.ndim == 3:
-            gain, offset = gain[..., np.newaxis], offset[..., np.newaxis]
-        signal = image * gain
-        signal += offset
+        signal = np.empty(image.shape, dtype=image.dtype)
+        for src, dst in zip(_channels(image), _channels(signal)):
+            np.multiply(src, gain, out=dst)
+            dst += offset
         return add_sensor_noise(signal, self.photons_at_white, self.read_noise_sigma, rng)
 
     def with_ambient(self, ambient: float) -> "EnvironmentProfile":
         """Copy with a different ambient level (brightness sweeps)."""
         return replace(self, ambient=ambient)
+
+
+def _channels(image: np.ndarray) -> list[np.ndarray]:
+    """The ``(H, W)`` channel views of a 2-D or ``(H, W, C)`` image."""
+    if image.ndim == 2:
+        return [image]
+    return [image[..., c] for c in range(image.shape[2])]
 
 
 def indoor() -> EnvironmentProfile:

@@ -150,13 +150,16 @@ class ScreenCameraLink:
             sensor, cfg.distance_cm, faults=self.faults, capture_index=capture_index
         )
         with telemetry.span("channel.environment"):
-            blur_len, blur_angle = cfg.mobility.sample_blur(self.rng)
-            if blur_len > 0:
-                sensor = motion_blur(sensor, blur_len, blur_angle)
-            sensor = cfg.environment.degrade(sensor, self.rng)
-            sensor = cfg.pipeline.apply(
-                sensor, self._wb_gains, faults=self.faults, capture_index=capture_index
-            )
+            with telemetry.span("channel.motion_blur"):
+                blur_len, blur_angle = cfg.mobility.sample_blur(self.rng)
+                if blur_len > 0:
+                    sensor = motion_blur(sensor, blur_len, blur_angle)
+            with telemetry.span("channel.photometric"):
+                sensor = cfg.environment.degrade(sensor, self.rng)
+            with telemetry.span("channel.sensor"):
+                sensor = cfg.pipeline.apply(
+                    sensor, self._wb_gains, faults=self.faults, capture_index=capture_index
+                )
         return Capture(time=start_time, image=sensor)
 
     def capture_stream(

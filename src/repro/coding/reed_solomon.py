@@ -8,7 +8,8 @@ support (a known-bad position costs one parity byte instead of two),
 which the frame-synchronization layer uses for rows that straddle a
 rolling-shutter boundary.
 
-Encoding uses the descending-order polynomial helpers from
+Encoding runs the division LFSR over a per-parity-count feedback table
+built with the descending-order polynomial helpers of
 :mod:`repro.coding.galois`; the decoder keeps its internal polynomials in
 **ascending** order (index i = coefficient of x^i), the natural form for
 the key equation.  The decoder is table-driven: syndromes and the Chien
@@ -27,7 +28,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .galois import GF256, poly_divmod, poly_mul
+from .galois import GF256, gf_mul, poly_mul
 
 __all__ = [
     "ReedSolomon",
@@ -133,6 +134,20 @@ def _inverse(a: int) -> int:
     return _EXP[255 - _LOG[a]]
 
 
+@lru_cache(maxsize=16)
+def _feedback_rows(num_parity: int) -> tuple[int, ...]:
+    """Row ``f`` of the ``(256, num_parity)`` uint8 LFSR feedback table, as ints.
+
+    Row ``f`` holds ``f * g_i`` for the generator's coefficients after
+    its (unit) leading one, packed big-endian into one Python int so the
+    encoder XORs a whole row at once.
+    """
+    table = np.asarray(
+        gf_mul(np.arange(256)[:, np.newaxis], _generator_poly(num_parity)[1:]), dtype=np.uint8
+    )
+    return tuple(int.from_bytes(row.tobytes(), "big") for row in table)
+
+
 def _generator_poly(num_parity: int) -> np.ndarray:
     """g(x) = prod_{i=0}^{num_parity-1} (x - alpha^i), descending order."""
     gen = np.array([1], dtype=np.int64)
@@ -222,7 +237,6 @@ class ReedSolomon:
         self.n = n
         self.k = k
         self.num_parity = n - k
-        self._gen = _generator_poly(self.num_parity)
         # Byte position p has locator X = alpha^(n-1-p): the power of its
         # term in C(x), and the log of its inverse for the Chien search.
         self._degrees = np.arange(n - 1, -1, -1, dtype=np.int64)
@@ -235,15 +249,24 @@ class ReedSolomon:
         return self.num_parity // 2
 
     def encode(self, message: bytes | bytearray | np.ndarray) -> bytes:
-        """Append ``n - k`` parity bytes to a ``k``-byte message."""
-        msg = np.frombuffer(bytes(message), dtype=np.uint8).astype(np.int64)
+        """Append ``n - k`` parity bytes to a ``k``-byte message.
+
+        The parity is the remainder of ``M(x) x^(n-k)`` divided by the
+        generator, computed by the division LFSR: the register (the
+        running remainder, one byte per parity symbol, as a Python int)
+        shifts in each message byte and XORs the feedback table's row
+        for ``message byte ^ register head``.
+        """
+        msg = bytes(message)
         if len(msg) != self.k:
             raise ValueError(f"message must be exactly {self.k} bytes, got {len(msg)}")
-        shifted = np.concatenate([msg, np.zeros(self.num_parity, dtype=np.int64)])
-        __, remainder = poly_divmod(shifted, self._gen)
-        parity = np.zeros(self.num_parity, dtype=np.int64)
-        parity[self.num_parity - len(remainder) :] = remainder
-        return bytes(np.concatenate([msg, parity]).astype(np.uint8))
+        feedback = _feedback_rows(self.num_parity)
+        head = 8 * (self.num_parity - 1)
+        mask = (1 << (8 * self.num_parity)) - 1
+        register = 0
+        for byte in msg:
+            register = ((register << 8) & mask) ^ feedback[byte ^ (register >> head)]
+        return msg + register.to_bytes(self.num_parity, "big")
 
     # The codeword polynomial is C(x) = sum_i c_i x^{n-1-i}; byte position
     # p therefore has locator X = alpha^{n-1-p}.

@@ -1,11 +1,11 @@
 """Rendering a frame grid into display pixels.
 
 The sender's drawing step: each grid cell becomes a ``block_px`` square
-of its color.  Rendering is a single ``np.kron`` expansion of the color
-index grid through the RGB table, which is what makes the four-thread
-drawing pipeline of the paper unnecessary here (Section IV measures the
-phone's drawing cost; our bench reproduces that experiment by timing
-this function).
+of its color.  Rendering looks the color index grid up in the RGB table
+and expands each cell with two ``np.repeat`` calls, which is what makes
+the four-thread drawing pipeline of the paper unnecessary here
+(Section IV measures the phone's drawing cost; our bench reproduces
+that experiment by timing this function).
 """
 
 from __future__ import annotations
@@ -30,9 +30,7 @@ def render_grid(grid: np.ndarray, layout: FrameLayout) -> np.ndarray:
             f"grid shape {grid.shape} does not match layout "
             f"({layout.grid_rows}, {layout.grid_cols})"
         )
-    rgb = rgb_table()[grid]  # (rows, cols, 3)
-    block = np.ones((layout.block_px, layout.block_px, 1))
-    return np.kron(rgb, block)
+    return _expand(rgb_table()[grid], layout.block_px)
 
 
 def render_region(
@@ -48,6 +46,13 @@ def render_region(
     r0, r1 = row_range
     if not 0 <= r0 < r1 <= layout.grid_rows:
         raise ValueError(f"invalid row range {row_range}")
-    rgb = rgb_table()[np.asarray(grid, dtype=np.int64)[r0:r1]]
-    block = np.ones((layout.block_px, layout.block_px, 1))
-    return np.kron(rgb, block)
+    return _expand(rgb_table()[np.asarray(grid, dtype=np.int64)[r0:r1]], layout.block_px)
+
+
+def _expand(rgb: np.ndarray, block_px: int) -> np.ndarray:
+    """Each ``(rows, cols, 3)`` cell as a ``block_px`` square of its color.
+
+    Columns expand first, on the small array, so the row expansion
+    copies whole pixel rows.
+    """
+    return np.repeat(np.repeat(rgb, block_px, axis=1), block_px, axis=0)

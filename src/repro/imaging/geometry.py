@@ -17,7 +17,7 @@ used.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -115,7 +115,7 @@ def warp_perspective(
     coords = _WARP_COORD_CACHE.get(key)
     if coords is None:
         coords = _warp_coords(h_arr, height, width, src_h, src_w)
-        if len(_WARP_COORD_CACHE) > 8:
+        if len(_WARP_COORD_CACHE) >= _WARP_COORD_ENTRIES:
             _WARP_COORD_CACHE.clear()
         _WARP_COORD_CACHE[key] = coords
     (rows, cols), index, fx, fy, outside = coords
@@ -126,7 +126,13 @@ def warp_perspective(
     # The four neighbours of source pixel ``index`` are ``index``,
     # ``index + 1``, ``index + src_w`` and ``index + src_w + 1``: gather
     # them with one index array from shifted views of the flat image.
+    # The gathered rows hold one pixel's channels, so the blend fractions
+    # are repeated per channel first: the blends then run over whole
+    # contiguous arrays rather than broadcasting over rows of three.
     flat = src.reshape(src_h * src_w, -1)
+    if flat.shape[1] > 1:
+        fx = np.repeat(fx, flat.shape[1], axis=1)
+        fy = np.repeat(fy, flat.shape[1], axis=1)
     top = flat.take(index, axis=0)
     step = flat[1:].take(index, axis=0)
     step -= top
@@ -140,8 +146,7 @@ def warp_perspective(
     bottom -= top
     bottom *= fy
     top += bottom
-    if outside is not None:
-        np.copyto(top, fill, where=outside)
+    top[outside] = fill
     out[rows, cols] = top.reshape(out[rows, cols].shape)
     return out
 
@@ -173,7 +178,7 @@ def _warp_window(
 
 
 #: ``((rows, cols), index, fx, fy, outside)`` — see :func:`_warp_coords`.
-_WarpCoords = Tuple[Tuple[slice, slice], np.ndarray, np.ndarray, np.ndarray, Optional[np.ndarray]]
+_WarpCoords = Tuple[Tuple[slice, slice], np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
 
 def _warp_coords(h: np.ndarray, height: int, width: int, src_h: int, src_w: int) -> _WarpCoords:
@@ -183,7 +188,7 @@ def _warp_coords(h: np.ndarray, height: int, width: int, src_h: int, src_w: int)
     window (:func:`_warp_window`); for each window pixel, in row-major
     order, the flat index of its top-left source neighbour and the
     float32 column and row blend fractions, shaped ``(n, 1)``; and the
-    out-of-bounds mask (``None`` when every window pixel samples inside).
+    window-pixel indices that sample outside the source.
     The projective map is evaluated in float64 by broadcasting a row of
     column terms against a column of row terms.  Neighbour indices clamp
     to ``src - 2`` so the right and bottom neighbours always exist; a
@@ -217,7 +222,7 @@ def _warp_coords(h: np.ndarray, height: int, width: int, src_h: int, src_w: int)
     np.subtract(cy, y0, out=fy, casting="unsafe")
     y0 *= src_w
     y0 += x0
-    outside = None if inside.all() else ~inside.reshape(-1, 1)
+    outside = np.flatnonzero(~inside)
     return (rows, cols), y0.reshape(-1), fx.reshape(-1, 1), fy.reshape(-1, 1), outside
 
 
@@ -226,6 +231,10 @@ def _warp_coords(h: np.ndarray, height: int, width: int, src_h: int, src_w: int)
 #: reuses one homography for every capture, so the inverse map,
 #: projective divide and neighbour-index arithmetic run once per session.
 _WARP_COORD_CACHE: dict[tuple[bytes, int, int, int, int], _WarpCoords] = {}
+#: Entries kept before the cache is cleared.  A tripod session needs one
+#: and a hand-held session (a fresh jittered pose per capture) hits none,
+#: while each 480 x 800 entry holds ~2.5 MB of gather terms.
+_WARP_COORD_ENTRIES = 4
 
 
 def radial_distort_points(

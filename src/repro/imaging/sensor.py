@@ -14,6 +14,8 @@ These operate in YCbCr space (BT.601), reusing the luma weights of
 
 from __future__ import annotations
 
+import math
+from functools import lru_cache
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -36,25 +38,46 @@ __all__ = [
 _KR, _KG, _KB = 0.299, 0.587, 0.114
 
 
-def _luma(rgb: np.ndarray) -> np.ndarray:
-    return _KR * rgb[..., 0] + _KG * rgb[..., 1] + _KB * rgb[..., 2]
+def _luma(r: np.ndarray, g: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return _KR * r + _KG * g + _KB * b
+
+
+def _planes(image: np.ndarray) -> np.ndarray:
+    """Contiguous ``(C, H, W)`` channel planes of an ``(H, W, C)`` image."""
+    out = np.empty(image.shape[-1:] + image.shape[:-1], dtype=image.dtype)
+    for c, plane in enumerate(out):
+        plane[...] = image[..., c]
+    return out
+
+
+def _interleave(planes: np.ndarray) -> np.ndarray:
+    """Inverse of :func:`_planes`: a C-contiguous ``(H, W, C)`` image."""
+    out = np.empty(planes.shape[1:] + planes.shape[:1], dtype=planes.dtype)
+    for c, plane in enumerate(planes):
+        out[..., c] = plane
+    return out
+
+
+def _chroma(r: np.ndarray, g: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Cb and Cr of RGB planes."""
+    y = _luma(r, g, b)
+    return (b - y) / (2.0 * (1.0 - _KB)), (r - y) / (2.0 * (1.0 - _KR))
 
 
 def rgb_to_ycbcr(rgb: np.ndarray) -> np.ndarray:
     """BT.601 full-range RGB -> YCbCr (Y in [0,1], Cb/Cr in [-0.5, 0.5])."""
     rgb = float_image(rgb)
-    y = _luma(rgb)
+    r, g, b = rgb[..., 0], rgb[..., 1], rgb[..., 2]
     out = np.empty(rgb.shape[:-1] + (3,), dtype=rgb.dtype)
-    out[..., 0] = y
-    out[..., 1] = (rgb[..., 2] - y) / (2.0 * (1.0 - _KB))
-    out[..., 2] = (rgb[..., 0] - y) / (2.0 * (1.0 - _KR))
+    out[..., 0] = _luma(r, g, b)
+    out[..., 1], out[..., 2] = _chroma(r, g, b)
     return out
 
 
 def _to_rgb(y: np.ndarray, cb: np.ndarray, cr: np.ndarray) -> np.ndarray:
-    """Clipped RGB from luma and chroma planes of one shape."""
-    out = np.empty(y.shape + (3,), dtype=y.dtype)
-    r, g, b = out[..., 0], out[..., 1], out[..., 2]
+    """Clipped ``(3, ...)`` RGB planes from luma and chroma planes of one shape."""
+    out = np.empty((3,) + y.shape, dtype=y.dtype)
+    r, g, b = out
     np.multiply(cr, 2.0 * (1.0 - _KR), out=r)
     r += y
     np.multiply(cb, 2.0 * (1.0 - _KB), out=b)
@@ -68,20 +91,46 @@ def _to_rgb(y: np.ndarray, cb: np.ndarray, cr: np.ndarray) -> np.ndarray:
 def ycbcr_to_rgb(ycc: np.ndarray) -> np.ndarray:
     """Inverse of :func:`rgb_to_ycbcr` (exact up to rounding)."""
     ycc = float_image(ycc)
-    return _to_rgb(ycc[..., 0], ycc[..., 1], ycc[..., 2])
+    return _interleave(_to_rgb(ycc[..., 0], ycc[..., 1], ycc[..., 2]))
 
 
-def _box_decimate(image: np.ndarray, factor: int) -> np.ndarray:
-    """Mean over each ``factor x factor`` tile (trailing partial tiles dropped)."""
-    height, width = image.shape[:2]
+def _box_decimate(planes: np.ndarray, factor: int) -> np.ndarray:
+    """Mean over each ``factor x factor`` tile of the last two axes.
+
+    Trailing partial tiles are dropped.
+    """
+    height, width = planes.shape[-2:]
     h2, w2 = height // factor * factor, width // factor * factor
-    out = image[0:h2:factor, 0:w2:factor].copy()
+    out = planes[..., 0:h2:factor, 0:w2:factor].copy()
     for dy in range(factor):
         for dx in range(factor):
             if dy or dx:
-                out += image[dy:h2:factor, dx:w2:factor]
+                out += planes[..., dy:h2:factor, dx:w2:factor]
     out *= 1.0 / (factor * factor)
     return out
+
+
+def _subsample_planes(planes: np.ndarray, factor: int, chroma_blur: float) -> np.ndarray:
+    """:func:`chroma_subsample` on ``(3, H, W)`` RGB planes, returning planes.
+
+    Every step reads and writes whole contiguous planes, so no NumPy
+    inner loop runs over a trailing axis of three channels.
+    """
+    if factor < 1:
+        raise ValueError("factor must be >= 1")
+    y = _luma(*planes)
+    if factor == 1:
+        cb, cr = _chroma(*planes)
+        if chroma_blur > 0:
+            cb, cr = gaussian_blur(cb, chroma_blur), gaussian_blur(cr, chroma_blur)
+        return _to_rgb(y, cb, cr)
+    # Box-average decimation (the anti-alias filter), then any extra
+    # blur on the *small* planes where it is `factor^2` times cheaper.
+    cb, cr = _chroma(*_box_decimate(planes, factor))
+    if chroma_blur > 0:
+        cb, cr = gaussian_blur(cb, chroma_blur / factor), gaussian_blur(cr, chroma_blur / factor)
+    cb, cr = _bilinear_upsample(np.stack([cb, cr]), y.shape, factor)
+    return _to_rgb(y, cb, cr)
 
 
 def chroma_subsample(image: np.ndarray, factor: int = 2, chroma_blur: float = 0.7) -> np.ndarray:
@@ -96,86 +145,89 @@ def chroma_subsample(image: np.ndarray, factor: int = 2, chroma_blur: float = 0.
     RGB image (exact up to rounding): luma is the only full-resolution
     conversion.  The result keeps *image*'s float dtype.
     """
-    if factor < 1:
-        raise ValueError("factor must be >= 1")
-    image = float_image(image)
-    y = _luma(image)
-    if factor > 1:
-        # Box-average decimation (the anti-alias filter), then any extra
-        # blur on the *small* plane where it is `factor^2` times cheaper.
-        chroma = rgb_to_ycbcr(_box_decimate(image, factor))[..., 1:]
-        if chroma_blur > 0:
-            chroma = gaussian_blur(chroma, chroma_blur / factor)
-        chroma = _bilinear_upsample(chroma, image.shape[:2], factor)
-    else:
-        chroma = rgb_to_ycbcr(image)[..., 1:]
-        if chroma_blur > 0:
-            chroma = gaussian_blur(chroma, chroma_blur)
-    return _to_rgb(y, chroma[..., 0], chroma[..., 1])
+    planes = _planes(float_image(image))
+    return _interleave(_subsample_planes(planes, factor, chroma_blur))
 
 
-#: 1-D upsample coordinates keyed by (full shape, small shape, factor).
-#: The mapping is fixed for a given geometry, so the floor/clip/fraction
-#: work runs once per image size instead of once per capture.
-_UPSAMPLE_COORD_CACHE: dict[tuple[int, int, int, int, int], tuple] = {}
+@lru_cache(maxsize=16)
+def _upsample_fractions(full: int, small: int, factor: int, dtype: str) -> np.ndarray:
+    """Blend fraction of each of *full* output positions along one axis.
 
-
-def _upsample_axis_coords(full: int, small: int, factor: int) -> tuple:
-    """Lower/upper source indices and blend fraction along one axis."""
+    Full pixel p maps to small coordinate ``(p - (factor-1)/2) / factor``
+    (a decimated sample i covers pixels ``[i*factor, (i+1)*factor)`` and
+    is centered at ``i*factor + (factor-1)/2``), clamped to the small
+    grid so edges replicate; the fraction is that coordinate minus its
+    floor, cast to *dtype*.  The array is shared: it is read-only.
+    """
     offset = (factor - 1) / 2.0
     coords = np.clip((np.arange(full, dtype=np.float64) - offset) / factor, 0.0, small - 1.0)
-    i0 = np.clip(np.floor(coords), 0, small - 1).astype(np.int64)
-    i1 = np.clip(i0 + 1, 0, small - 1)
-    frac = np.clip(coords - i0, 0.0, 1.0)
-    return i0, i1, frac
+    frac = np.clip(coords - np.floor(coords), 0.0, 1.0).astype(dtype)
+    frac.setflags(write=False)
+    return frac
 
 
-def _bilinear_upsample(small: np.ndarray, shape: tuple[int, int], factor: int) -> np.ndarray:
-    """Restore a decimated plane to *shape* with bilinear interpolation.
+def _upsample_axis(small: np.ndarray, axis: int, full: int, factor: int) -> np.ndarray:
+    """Bilinearly restore *small* to *full* samples along *axis*.
 
-    A decimated sample i covers full-resolution pixels
-    ``[i*factor, (i+1)*factor)`` and is centered at
-    ``i*factor + (factor-1)/2``, so full pixel p maps to small
-    coordinate ``(p - (factor-1)/2) / factor``.  Coordinates clamp to
-    the small grid so edges replicate instead of reading fill values.
-
-    The map is separable (x depends only on the column, y only on the
-    row), so the interpolation runs on broadcast 1-D coordinate vectors
-    rather than full H x W grids: rows blend first at the small width,
-    then columns, in *small*'s dtype.
+    A sliced stencil: output positions ``r, r + factor, r + 2*factor,
+    ...`` have consecutive lower neighbours starting at
+    ``floor((r - (factor-1)/2) / factor)``, so each residue class
+    blends ``lower + (upper - lower) * fraction`` over two slices instead
+    of gathered copies.  Positions whose coordinate clamps read an
+    edge-replicated pad (one sample before, two after), where
+    ``upper == lower`` and the blend returns the edge sample, as the
+    clamped coordinate does.
     """
-    height, width = shape
-    sh, sw = small.shape[:2]
-    key = (height, width, sh, sw, factor)
-    cached = _UPSAMPLE_COORD_CACHE.get(key)
-    if cached is None:
-        cached = _upsample_axis_coords(height, sh, factor) + _upsample_axis_coords(
-            width, sw, factor
-        )
-        if len(_UPSAMPLE_COORD_CACHE) > 16:
-            _UPSAMPLE_COORD_CACHE.clear()
-        _UPSAMPLE_COORD_CACHE[key] = cached
-    y0, y1, fy, x0, x1, fx = cached
-    trailing = (1,) * (small.ndim - 2)
-
-    rows = small.take(y0, axis=0)
-    step = small.take(y1, axis=0)
-    step -= rows
-    step *= fy.astype(small.dtype).reshape((-1, 1) + trailing)
-    rows += step
-    out = rows.take(x0, axis=1)
-    step = rows.take(x1, axis=1)
-    step -= out
-    step *= fx.astype(small.dtype).reshape((1, -1) + trailing)
-    out += step
+    frac = _upsample_fractions(full, small.shape[axis], factor, small.dtype.str)
+    pad = [(0, 0)] * small.ndim
+    pad[axis] = (1, 2)
+    padded = np.pad(small, pad, mode="edge")
+    shape = list(small.shape)
+    shape[axis] = full
+    out = np.empty(shape, dtype=small.dtype)
+    lead = (slice(None),) * axis
+    trail = (1,) * (small.ndim - 1 - axis)
+    offset = (factor - 1) / 2.0
+    for r in range(min(factor, full)):
+        count = len(range(r, full, factor))
+        lo = math.floor((r - offset) / factor) + 1  # +1 skips the leading pad
+        lower = padded[lead + (slice(lo, lo + count),)]
+        step = np.subtract(padded[lead + (slice(lo + 1, lo + 1 + count),)], lower)
+        step *= frac[r::factor].reshape((count,) + trail)
+        np.add(lower, step, out=out[lead + (slice(r, full, factor),)])
     return out
 
 
+def _bilinear_upsample(small: np.ndarray, shape: tuple[int, int], factor: int) -> np.ndarray:
+    """Restore decimated planes ``(..., h, w)`` to ``(..., *shape)`` bilinearly.
+
+    Separable: rows blend first at the small width, then columns, in
+    *small*'s dtype (see :func:`_upsample_axis`).
+    """
+    rows = _upsample_axis(small, small.ndim - 2, shape[0], factor)
+    return _upsample_axis(rows, small.ndim - 1, shape[1], factor)
+
+
 def white_balance_shift(image: np.ndarray, gains: tuple[float, float, float]) -> np.ndarray:
-    """Per-channel gain error (auto-white-balance mis-estimation)."""
-    image = float_image(image)
-    out = image * np.asarray(gains, dtype=image.dtype)
+    """Per-channel gain error (auto-white-balance mis-estimation).
+
+    The gains are tiled along each flat ``W * 3`` row, so the multiply's
+    inner loop runs over whole rows rather than over three channels.
+    """
+    image = np.ascontiguousarray(float_image(image))
+    height, width = image.shape[:2]
+    row = np.tile(np.asarray(gains, dtype=image.dtype), width)
+    out = np.multiply(image.reshape(height, -1), row).reshape(image.shape)
     return np.clip(out, 0.0, 1.0, out=out)
+
+
+def _levels(image: np.ndarray) -> np.ndarray:
+    """uint8 levels ``rint(clip(image * 255, 0, 255))``, same shape."""
+    scaled = float_image(image) * 255.0
+    np.clip(scaled, 0.0, 255.0, out=scaled)
+    levels = np.empty(scaled.shape, dtype=np.uint8)
+    np.rint(scaled, out=levels, casting="unsafe")
+    return levels
 
 
 def quantize_8bit(image: np.ndarray) -> np.ndarray:
@@ -186,13 +238,7 @@ def quantize_8bit(image: np.ndarray) -> np.ndarray:
     to, so the frame round-trips losslessly through uint8 (capture
     traces).
     """
-    scaled = float_image(image) * 255.0
-    np.clip(scaled, 0.0, 255.0, out=scaled)
-    levels = np.empty(scaled.shape, dtype=np.uint8)
-    np.rint(scaled, out=levels, casting="unsafe")
-    out = levels.astype(np.float64)
-    out /= 255.0
-    return out
+    return np.divide(_levels(image), 255.0, dtype=np.float64)
 
 
 class CameraPipeline:
@@ -235,8 +281,11 @@ class CameraPipeline:
         before quantization, so a faulted capture is still a valid
         8-bit video frame.
         """
-        out = white_balance_shift(image, gains)
-        out = chroma_subsample(out, self.chroma_factor, self.chroma_blur)
+        planes = _planes(white_balance_shift(image, gains))
+        planes = _subsample_planes(planes, self.chroma_factor, self.chroma_blur)
         if faults is not None:
-            out = faults.apply_image("sensor", out, capture_index)
-        return quantize_8bit(out)
+            out = faults.apply_image("sensor", _interleave(planes), capture_index)
+            return quantize_8bit(out)
+        # Quantize the planes, then interleave one byte per sample before
+        # the float64 cast: the cheapest place to transpose.
+        return np.divide(_interleave(_levels(planes)), 255.0, dtype=np.float64)

@@ -1,10 +1,12 @@
-"""The table-driven RS decoder pinned to its scalar Horner original.
+"""The table-driven RS coder pinned to its scalar originals.
 
 ``ReedSolomon._syndromes`` evaluates the received word at every root in
 one vectorized log/antilog pass, and the Chien search evaluates the
 error locator at every byte position the same way.  These properties
 keep the scalar Horner loops over ``gf_mul`` as executable references
-and demand exactly equal field elements.
+and demand exactly equal field elements.  ``ReedSolomon.encode`` runs a
+division LFSR over a feedback table; it is pinned to polynomial long
+division (``poly_divmod``) of the shifted message by the generator.
 """
 
 from __future__ import annotations
@@ -14,8 +16,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.coding.galois import gf_mul, gf_pow
-from repro.coding.reed_solomon import ReedSolomon
+from repro.coding.galois import gf_mul, gf_pow, poly_divmod
+from repro.coding.reed_solomon import ReedSolomon, _generator_poly
+
+
+def _reference_encode(rs: ReedSolomon, message: bytes) -> bytes:
+    """Systematic encoding by long division, kept verbatim as the oracle."""
+    msg = np.frombuffer(message, dtype=np.uint8).astype(np.int64)
+    shifted = np.concatenate([msg, np.zeros(rs.num_parity, dtype=np.int64)])
+    __, remainder = poly_divmod(shifted, _generator_poly(rs.num_parity))
+    parity = np.zeros(rs.num_parity, dtype=np.int64)
+    parity[rs.num_parity - len(remainder) :] = remainder
+    return bytes(np.concatenate([msg, parity]).astype(np.uint8))
 
 
 def _reference_syndromes(rs: ReedSolomon, word: np.ndarray) -> list[int]:
@@ -102,3 +114,24 @@ def test_chien_search_matches_horner(n, locator):
         assert found == expected
     else:
         assert found is None
+
+
+@st.composite
+def codes_and_messages(draw):
+    n = draw(st.sampled_from([2, 15, 60, 120, 255]))
+    k = draw(st.sampled_from(sorted({1, max(1, n // 2), n - 1})))
+    message = draw(st.binary(min_size=k, max_size=k))
+    return ReedSolomon(n, k), message
+
+
+@settings(max_examples=80, deadline=None)
+@given(codes_and_messages())
+def test_encode_matches_long_division(code_and_message):
+    rs, message = code_and_message
+    assert rs.encode(message) == _reference_encode(rs, message)
+
+
+@pytest.mark.parametrize("n,k", [(2, 1), (255, 1), (255, 223), (60, 40)])
+def test_encode_all_zero_message_matches_long_division(n, k):
+    rs = ReedSolomon(n, k)
+    assert rs.encode(bytes(k)) == _reference_encode(rs, bytes(k)) == bytes(n)

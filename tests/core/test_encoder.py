@@ -5,7 +5,7 @@ import pytest
 
 from repro.core.encoder import Frame, FrameCodecConfig, FrameEncoder
 from repro.core.layout import CellRole, FrameLayout
-from repro.core.palette import Color, tracking_color_for_sequence
+from repro.core.palette import Color, rgb_table, tracking_color_for_sequence
 from repro.core.renderer import render_grid, render_region
 
 
@@ -127,6 +127,23 @@ class TestRenderer:
         full = frame.render()
         part = render_region(frame.grid, config.layout, (4, 9))
         assert np.array_equal(part, full[4 * 12 : 9 * 12])
+
+    @pytest.mark.parametrize("color", list(Color))
+    def test_repeat_expansion_matches_kron_reference(self, encoder, config, color):
+        # The earlier renderer: a kron expansion by a ones block.
+        def kron_render(grid):
+            block = np.ones((config.layout.block_px, config.layout.block_px, 1))
+            return np.kron(rgb_table()[np.asarray(grid, dtype=np.int64)], block)
+
+        grid = encoder.encode_frame(b"k", sequence=0).grid.copy()
+        grid[::3, ::4] = int(color)
+        full = render_grid(grid, config.layout)
+        assert full.dtype == np.float64 and full.flags.c_contiguous
+        assert full.tobytes() == kron_render(grid).tobytes()
+        part = render_region(grid, config.layout, (2, 11))
+        assert part.tobytes() == kron_render(grid[2:11]).tobytes()
+        solid = np.full(grid.shape, int(color), dtype=np.int64)
+        assert render_grid(solid, config.layout).tobytes() == kron_render(solid).tobytes()
 
     def test_render_wrong_shape(self, config):
         with pytest.raises(ValueError):

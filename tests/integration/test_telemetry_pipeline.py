@@ -40,6 +40,9 @@ PIPELINE_SPANS = {
     "channel.project",
     "channel.optics",
     "channel.environment",
+    "channel.motion_blur",
+    "channel.photometric",
+    "channel.sensor",
     "decode.extract",
     "corners",
     "locators",
@@ -99,6 +102,10 @@ class TestHierarchicalTrace:
             >= {"channel.rolling_shutter", "channel.project", "channel.environment"}
             for span in capture_spans
         )
+        for environment in ctx.tracer.find("channel.environment"):
+            assert [c.name for c in environment.children] == [
+                "channel.motion_blur", "channel.photometric", "channel.sensor",
+            ]
 
         # Metrics and events agree with the session accounting.
         counters = ctx.registry.snapshot()["counters"]
